@@ -14,7 +14,7 @@ import json
 
 from .errors import InputError, ConsistencyError
 from .poly import Poly, poly_str, parse
-from .groebner import radical_test, local_dim
+from .groebner import radical_test, local_dim, _row_echelon
 from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
 from .fractional import FractionalIdeal
 from .residues import (MeroFraction, residue_module, mu_residues,
@@ -181,14 +181,9 @@ def check_normal_crossing_at_origin(D, factors):
             return False, (f"factor {poly_str(f, D.names)} is not smooth "
                            f"at the origin")
         rows.append(grad)
-    if _rank(rows) != m:
+    if len(_row_echelon(rows)) != m:
         return False, "component normals are linearly dependent at the origin"
     return True, "factors form part of a coordinate system"
-
-
-def _rank(rows):
-    from .groebner import _row_echelon
-    return len(_row_echelon([list(map(lambda c: c * 1, r)) for r in rows]))
 
 
 def _curve_nc_at_origin(D):

@@ -145,13 +145,12 @@ def vec_ecart(v, lead):
 
 
 class _Reducer:
-    __slots__ = ("vec", "lead", "coeff", "cert")
+    __slots__ = ("vec", "lead", "coeff")
 
-    def __init__(self, vec, mo, cert=None):
+    def __init__(self, vec, mo):
         self.vec = vec
         self.lead = mo.lead(vec)
         self.coeff = mo.lead_coeff(vec, self.lead)
-        self.cert = cert
 
 
 def divide_vec(f, reducers, mo, full=True):
@@ -281,7 +280,7 @@ def division_certificate(f, basis, mo):
 # basis computation
 
 
-def _s_pair_data(gi, gj, mo):
+def _s_pair_data(gi, gj):
     (c, ei), (c2, ej) = gi.lead, gj.lead
     if c != c2:
         return None
@@ -289,14 +288,17 @@ def _s_pair_data(gi, gj, mo):
     return l
 
 
-def _s_vec(gi, gj, l, mo):
+def _s_vec(gi, gj, l):
     di = exp_div(l, gi.lead[1])
     dj = exp_div(l, gj.lead[1])
     return gi.vec.mul_term(ONE / gi.coeff, di), gj.vec.mul_term(ONE / gj.coeff, dj)
 
 
 class _Elem:
-    __slots__ = ("vec", "lead", "coeff", "sugar", "trow")
+    """A basis element with its lead and lead coefficient under the order
+    of the computation; it serves directly as a reducer in division."""
+
+    __slots__ = ("vec", "lead", "coeff", "sugar", "trow", "mono")
 
     def __init__(self, vec, mo, sugar, trow):
         self.vec = vec
@@ -304,6 +306,8 @@ class _Elem:
         self.coeff = mo.lead_coeff(vec, self.lead)
         self.sugar = sugar
         self.trow = trow
+        # a single term: the S-vector of two such elements is zero
+        self.mono = sum(len(p.terms) for p in vec.polys) == 1
 
 
 def _compute_basis(gens, mo, transform):
@@ -326,11 +330,10 @@ def _compute_basis(gens, mo, transform):
 
     def reduce_elem(vec, trow_parts):
         """Reduce vec against current G; returns (rem, trow) or None if zero."""
-        reducers = [_Reducer(e.vec, mo) for e in G]
         if use_mora:
-            rem, unit, quots = mora_nf(vec, reducers, mo, want_cert=transform)
+            rem, unit, quots = mora_nf(vec, G, mo, want_cert=transform)
         else:
-            quots, rem = divide_vec(vec, reducers, mo)
+            quots, rem = divide_vec(vec, G, mo)
             unit = Poly.const(n, 1)
         if rem.is_zero:
             return None
@@ -347,7 +350,9 @@ def _compute_basis(gens, mo, transform):
 
     def push_pair(i, j):
         nonlocal counter
-        l = _s_pair_data(G[i], G[j], mo)
+        if G[i].mono and G[j].mono:
+            return
+        l = _s_pair_data(G[i], G[j])
         if l is None:
             return
         if G[i].vec.r == 1:
@@ -365,7 +370,7 @@ def _compute_basis(gens, mo, transform):
 
     while pairs:
         _, sugar, i, j, _, l = heappop(pairs)
-        a, b = _s_vec(G[i], G[j], l, mo)
+        a, b = _s_vec(G[i], G[j], l)
         svec = a - b
         if svec.is_zero:
             continue
@@ -436,15 +441,16 @@ def standard_basis(gens, mo, transform=False):
         while changed:
             changed = False
             for i in range(len(G)):
-                others = [_Reducer(e.vec, mo) for k, e in enumerate(G) if k != i]
+                others = [e for k, e in enumerate(G) if k != i]
                 if not others:
                     continue
+                # the leads of G were taken under mo: work_mo is mo here
                 quots, rem = divide_vec(G[i].vec, others, mo)
                 if rem != G[i].vec:
                     changed = True
                     trow = G[i].trow
                     if transform:
-                        for q, e in zip(quots, [e for k, e in enumerate(G) if k != i]):
+                        for q, e in zip(quots, others):
                             if not q.is_zero:
                                 trow = [a - q * b for a, b in zip(trow, e.trow)]
                     if rem.is_zero:
@@ -582,14 +588,6 @@ def syzygies(vecs):
     return out
 
 
-def module_quotient(target, module_gens):
-    """{g in R : g * target lies in the module generated by module_gens},
-    as a list of ideal generators."""
-    sy = syzygies([target] + list(module_gens))
-    gens = [s.polys[0] for s in sy if not s.polys[0].is_zero]
-    return gens
-
-
 def ideal_quotient(I, J, order):
     """(I : J) over the polynomial ring; valid in the localization as well."""
     I = [g for g in I if not g.is_zero]
@@ -660,19 +658,17 @@ def min_generators_local(vecs, extra=()):
     extra = [as_vec(v) for v in extra]
     s = len(vecs)
     sy = syzygies(vecs + extra)
-    rows = [sy_i.at_origin()[:s] for sy_i in sy]
-    echelon = _row_echelon(rows)
-    mu = s - len(echelon)
+    span = _row_echelon(sy_i.at_origin()[:s] for sy_i in sy)
+    mu = s - len(span)
     selected = []
-    span = [row[:] for row in echelon]
     for j in range(s):
-        ej = [Fraction(0)] * s
-        ej[j] = ONE
-        if not _in_row_span(ej, span):
-            selected.append(j)
-            span = _row_echelon(span + [ej])
         if len(selected) == mu:
             break
+        rank = len(span)
+        ej = [Fraction(0)] * s
+        ej[j] = ONE
+        if len(_row_echelon([ej], span)) > rank:
+            selected.append(j)
     return mu, selected
 
 
@@ -726,47 +722,58 @@ def local_dim(gens, n):
 # exact linear algebra over Q
 
 
-def _row_echelon(rows):
-    """Reduced row echelon basis of the row space (zero rows dropped)."""
-    basis = []
+def _sub_row(a, c, b):
+    """a -= c*b on sparse rows, in place; entries that cancel are dropped."""
+    for k, y in b.items():
+        v = a.get(k, 0) - c * y
+        if v:
+            a[k] = v
+        else:
+            del a[k]
+
+
+def _row_echelon(rows, ech=None):
+    """Add the rows to the reduced row echelon form ech, in place, and
+    return it.  The form maps each pivot column p to its sparse row
+    {column: Fraction}, which is 1 at p and 0 at every other pivot; zero
+    rows add nothing, so len() of the form is the rank."""
+    if ech is None:
+        ech = {}
     for row in rows:
-        row = list(row)
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x)
-            if row[piv]:
-                c = row[piv] / b[piv]
-                row = [x - c * y for x, y in zip(row, b)]
-        if any(row):
-            basis.append(row)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return basis
-
-
-def _in_row_span(vec, basis):
-    row = list(vec)
-    for b in basis:
-        piv = next(i for i, x in enumerate(b) if x)
-        if row[piv]:
-            c = row[piv] / b[piv]
-            row = [x - c * y for x, y in zip(row, b)]
-    return not any(row)
+        r = {k: Fraction(x) for k, x in enumerate(row) if x}
+        for p, b in ech.items():
+            c = r.get(p)
+            if c:
+                _sub_row(r, c, b)
+        if not r:
+            continue
+        piv = min(r)
+        c = r[piv]
+        r = {k: x / c for k, x in r.items()}
+        for b in ech.values():
+            c = b.get(piv)
+            if c:
+                _sub_row(b, c, r)
+        ech[piv] = r
+    return ech
 
 
 def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
-    echelon = _row_echelon(rows)
-    pivots = [next(i for i, x in enumerate(b) if x) for b in echelon]
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for j in free:
-        x = [Fraction(0)] * ncols
-        x[j] = ONE
-        for b, piv in zip(reversed(echelon), reversed(pivots)):
-            # back-substitute: b . x = 0
-            acc = sum((b[k] * x[k] for k in range(piv + 1, ncols)), Fraction(0))
-            x[piv] = -acc / b[piv]
-        out.append(x)
-    return out
+    """Basis of {x : A x = 0} for the matrix with the given rows: for each
+    non-pivot column j in increasing order, the unique kernel vector that is
+    1 at j and 0 at every other non-pivot column."""
+    ech = _row_echelon(rows)
+    out = {}
+    for j in range(ncols):
+        if j not in ech:
+            x = [Fraction(0)] * ncols
+            x[j] = ONE
+            out[j] = x
+    for p, r in ech.items():
+        for j, c in r.items():
+            if j != p:
+                out[j][p] = -c
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------

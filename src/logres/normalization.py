@@ -486,16 +486,6 @@ def _curve_setup(D):
     return cvars, h2
 
 
-def _lift2(p2, cvars, n):
-    out = {}
-    for (i, j), c in p2.terms.items():
-        e = [0] * n
-        e[cvars[0]] = i
-        e[cvars[1]] = j
-        out[tuple(e)] = c
-    return Poly._raw(n, out)
-
-
 def puiseux_rational(D, precision=48):
     """Branch parametrizations of a plane-curve germ (or of the curve factor
     of a suspension) when all Newton-Puiseux root extractions stay rational;

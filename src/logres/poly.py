@@ -19,6 +19,7 @@ and a primitive-PRS multivariate gcd, which backs the squarefree test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 
 from .errors import ParseError
@@ -337,9 +338,6 @@ class Order:
         return f"Order({self.kind!r}, {self.n}{extra})"
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _order_cache(kind, n):
     return Order(kind, n)
@@ -541,15 +539,6 @@ def _coeffs_in(p, i):
         d = out.setdefault(k, {})
         d[key] = d.get(key, ZERO) + c
     return {k: Poly(p.n, d) for k, d in out.items() if any(v for v in d.values())}
-
-
-def _from_coeffs(coeffs, i, n):
-    res = Poly.zero(n)
-    for k, cp in coeffs.items():
-        e = [0] * n
-        e[i] = k
-        res = res + cp.mul_term(ONE, tuple(e))
-    return res
 
 
 def _pseudo_rem(p, q, i):

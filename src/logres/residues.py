@@ -185,10 +185,6 @@ def residue_module(D, crosscheck=True, seed=0):
     return R
 
 
-def jacobian_fractional(D, seed=0):
-    return FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed)
-
-
 def sigma_check(delta, omega, D):
     """Compatibility of the dual residue pairing with multiplication by the
     residue:  g * <delta, a> = dh(delta) * xi  mod <h>.  Contract: always

@@ -1,5 +1,7 @@
 """Condition checks, theorem cross-validations, and the report aggregator."""
 
+import hashlib
+
 import pytest
 
 from logres.errors import InputError
@@ -164,3 +166,22 @@ def test_report_roundtrip_and_determinism():
 def test_analyze_rejects_invalid_germ():
     with pytest.raises(InputError):
         analyze_text(["x"], "x^2")
+
+
+# sha256 of the default JSON report, taken from the code before the sparse
+# kernel, the S-pair pruning and the reducer reuse; a speedup must keep
+# these bytes unchanged
+GOLDEN_REPORTS = [
+    ("x^5-y^7",
+     "0003ac788881d9a5ba98798b881261bd1abc01861ee56046653828fe183bdac8"),
+    ("x^3+y^5",
+     "558cf0d886785801da15b1fb2f60c6bb93188aded5c8931e6e091e3ba653dae3"),
+    ("x*y*(x-y)*(x+y)",
+     "f97f11d0fe9354b3c132677d6b056dab72f5c0ceedea01102f8fee724ccc23dd"),
+]
+
+
+@pytest.mark.parametrize("poly,digest", GOLDEN_REPORTS)
+def test_default_report_bytes_are_pinned(poly, digest):
+    report = analyze_text(["x", "y"], poly)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

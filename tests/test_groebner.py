@@ -262,3 +262,74 @@ def test_homogeneous_bypass_agrees_with_mora():
     gens2 = (P("x^2 - y^2"), P("x*y"), P("x^3 + x^4"))
     basis_slow = std_ideal(gens2, LOCAL2)
     assert ideal_equal(list(basis_fast), list(basis_slow), LOCAL2)
+
+
+def _reference_kernel(rows, ncols):
+    """Kernel by incremental (not fully reduced) elimination and dense
+    back-substitution: slow, but independent of kernel_basis.  Returns
+    (rank, kernel vectors)."""
+    echelon = []
+    for row in rows:
+        row = list(row)
+        for b in echelon:
+            piv = next(i for i, x in enumerate(b) if x)
+            if row[piv]:
+                c = row[piv] / b[piv]
+                row = [x - c * y for x, y in zip(row, b)]
+        if any(row):
+            echelon.append(row)
+    echelon.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+    pivots = [next(i for i, x in enumerate(b) if x) for b in echelon]
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[j] = Fraction(1)
+        for b, piv in zip(reversed(echelon), reversed(pivots)):
+            acc = sum((b[k] * x[k] for k in range(piv + 1, ncols)), Fraction(0))
+            x[piv] = -acc / b[piv]
+        out.append(x)
+    return len(echelon), out
+
+
+def _random_matrix(rng):
+    ncols = rng.randint(1, 9)
+    density = rng.choice((0.15, 0.4, 1.0))
+
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, 7))]
+    extra = []
+    for row in rows:
+        kind = rng.random()
+        if kind < 0.15:
+            extra.append([Fraction(0)] * ncols)
+        elif kind < 0.3:
+            extra.append(list(row))
+        elif kind < 0.45 and len(rows) > 1:
+            other = rng.choice(rows)
+            a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+            extra.append([a * x + b * y for x, y in zip(row, other)])
+    for row in extra:
+        rows.insert(rng.randint(0, len(rows)), row)
+    return rows, ncols
+
+
+def test_kernel_basis_against_dense_reference():
+    import random
+    rng = random.Random(20111)
+    cases = [([], 1), ([], 4), ([[Fraction(0)] * 3], 3)]
+    cases += [_random_matrix(rng) for _ in range(300)]
+    for rows, ncols in cases:
+        rank, expected = _reference_kernel(rows, ncols)
+        kb = kernel_basis(rows, ncols)
+        assert kb == expected, (rows, ncols)
+        assert all(type(c) is Fraction for v in kb for c in v)
+        for v in kb:
+            for row in rows:
+                assert sum(a * x for a, x in zip(row, v)) == 0
+        assert len(_row_echelon(rows)) == rank == ncols - len(kb)

@@ -420,9 +420,11 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
                 "1 minimally generates R_D iff the germ is Euler homogeneous; "
                 "verdicts disagree")
         consistency.append("unit_generator_iff_euler")
-    if (mu == 1) != D.is_smooth:
-        raise ConsistencyError("R_D cyclic iff smooth failed")
-    consistency.append("cyclic_residues_iff_smooth")
+        # only for free D: a normal surface has R_D = O_D, cyclic, but is
+        # not smooth
+        if (mu == 1) != D.is_smooth:
+            raise ConsistencyError("R_D cyclic iff smooth failed")
+        consistency.append("cyclic_residues_iff_smooth")
     if b_verdict == TRUE and c_verdict == FALSE:
         raise ConsistencyError("(B) true with (C) false violates the implication")
     if b_verdict == TRUE and c_verdict == TRUE:

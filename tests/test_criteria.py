@@ -153,6 +153,21 @@ def test_analyze_four_planes():
                                              "G": "false"}
 
 
+def test_analyze_cubic_cone_is_not_free_but_has_cyclic_residues():
+    # a normal surface: R_D = O_D is cyclic although D is not smooth, which
+    # refutes "R_D cyclic iff smooth" outside free divisors
+    r = analyze_text(["x", "y", "z"], "x^3+y^3+z^3")
+    v = r.verdicts
+    assert v["free"] == "false"
+    assert v["euler_homogeneous"] == "true"
+    assert v["jacobian_radical"] == "false"
+    assert v["jacobian_eq_conductor"] == "false"
+    assert v["residues_weakly_holomorphic"] == "true"
+    assert v["normal_crossing_at_origin"] != "true"
+    assert r.data["extras"]["mu_residues"] == 1
+    assert "cyclic_residues_iff_smooth" not in r.consistency
+
+
 def test_report_roundtrip_and_determinism():
     r1 = analyze_text(["x", "y"], "x^2 - y^3")
     r2 = analyze_text(["x", "y"], "x^2 - y^3")

@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappush, heappop
+from heapq import heapify, heappush, heappop
+from operator import add
 
 from .errors import EngineError
 from .poly import (Poly, Order, exp_mul, exp_div, exp_lcm, exp_deg, exact_div,
@@ -73,9 +74,6 @@ class Vec:
     def mul_term(self, c, e):
         return Vec([p.mul_term(c, e) for p in self.polys])
 
-    def submul_term(self, c, e, other):
-        return Vec([a.submul_term(c, e, b) for a, b in zip(self.polys, other.polys)])
-
     def mul_poly(self, q):
         return Vec([p * q for p in self.polys])
 
@@ -119,6 +117,16 @@ class ModOrder:
             return (-c, rk)
         return (1 if c < self.elim else 0, rk, -c)
 
+    def heap_key(self, c, e):
+        """A flat tuple that sorts ascending exactly where key((c, e)) sorts
+        descending, so the lead is the least entry of a min-heap."""
+        rk = self.ring.heap_key(e)
+        if self.rule == "TOP":
+            return rk + (c,)
+        if self.rule == "POT":
+            return (c,) + rk
+        return (0 if c < self.elim else 1,) + rk + (c,)
+
     def lead(self, v):
         """Leading module monomial (comp, exp) of v, or None."""
         best = None
@@ -153,39 +161,139 @@ class _Reducer:
         self.coeff = mo.lead_coeff(vec, self.lead)
 
 
-def divide_vec(f, reducers, mo, full=True):
-    """Global division: f = sum quots[i]*reducers[i] + rem.  With full=True
-    no term of rem is divisible by any reducer lead; otherwise only the lead
-    of rem is guaranteed irreducible."""
-    quots = [Poly.zero(f.n) for _ in reducers]
-    rem = Vec([Poly.zero(f.n) for _ in f.polys])
-    p = f
-    while not p.is_zero:
-        lp = mo.lead(p)
-        cp = mo.lead_coeff(p, lp)
+class _Dividend:
+    """A module element under reduction, changed in place.
+
+    It keeps one {exp: Fraction} dict per component and a lazy min-heap of
+    (ModOrder.heap_key, comp, exp) entries: the first entry whose term is
+    still present is the lead, and an entry whose term has cancelled is
+    stale and dropped when it reaches the top.  With track_degree it also
+    counts the terms of each total degree, for the ecart."""
+
+    __slots__ = ("comps", "heap", "mo", "degs")
+
+    def __init__(self, f, mo, track_degree=False):
+        self.mo = mo
+        self.comps = [dict(p.terms) for p in f.polys]
+        hk = mo.heap_key
+        self.heap = [(hk(c, e), c, e)
+                     for c, comp in enumerate(self.comps) for e in comp]
+        heapify(self.heap)
+        self.degs = None
+        if track_degree:
+            degs = {}
+            for comp in self.comps:
+                for e in comp:
+                    k = exp_deg(e)
+                    degs[k] = degs.get(k, 0) + 1
+            self.degs = degs
+
+    def lead(self):
+        """(comp, exp, coeff) of the leading term, or None when zero."""
+        heap = self.heap
+        comps = self.comps
+        while heap:
+            _, c, e = heap[0]
+            coeff = comps[c].get(e)
+            if coeff is not None:
+                return c, e, coeff
+            heappop(heap)
+        return None
+
+    def total_degree(self):
+        return max(self.degs)
+
+    def pop_lead(self, c, e):
+        """Remove the leading term (c, e) that lead() returned, and return
+        its coefficient."""
+        heappop(self.heap)
+        return self.comps[c].pop(e)
+
+    def submul_term(self, c, d, vec):
+        """self -= c * x^d * vec."""
+        comps = self.comps
+        heap = self.heap
+        degs = self.degs
+        hk = self.mo.heap_key
+        for k, p in enumerate(vec.polys):
+            if not p.terms:
+                continue
+            comp = comps[k]
+            for t, v in p.terms.items():
+                te = tuple(map(add, t, d))
+                old = comp.get(te)
+                if old is None:
+                    comp[te] = -(c * v)
+                    heappush(heap, (hk(k, te), k, te))
+                    if degs is not None:
+                        g = exp_deg(te)
+                        degs[g] = degs.get(g, 0) + 1
+                    continue
+                s = old - c * v
+                if s:
+                    comp[te] = s
+                else:
+                    del comp[te]
+                    if degs is not None:
+                        g = exp_deg(te)
+                        if degs[g] == 1:
+                            del degs[g]
+                        else:
+                            degs[g] -= 1
+
+    def vec(self, n):
+        """The current value; the dicts pass to the result."""
+        return Vec([Poly._raw(n, comp) for comp in self.comps])
+
+    def snapshot(self, n):
+        """A copy of the current value."""
+        return Vec([Poly._raw(n, dict(comp)) for comp in self.comps])
+
+
+def _submul_into(res, c, d, p):
+    """res -= c * x^d * p, in place on an {exp: Fraction} dict."""
+    for t, v in p.terms.items():
+        te = tuple(map(add, t, d))
+        old = res.get(te)
+        if old is None:
+            res[te] = -(c * v)
+        else:
+            s = old - c * v
+            if s:
+                res[te] = s
+            else:
+                del res[te]
+
+
+def divide_vec(f, reducers, mo):
+    """Global division: f = sum quots[i]*reducers[i] + rem, and no term of
+    rem is divisible by any reducer lead."""
+    n = f.n
+    quots = [{} for _ in reducers]
+    rem = [{} for _ in f.polys]
+    p = _Dividend(f, mo)
+    # every step lowers the lead, so each term put in rem or quots is new
+    while True:
+        lead = p.lead()
+        if lead is None:
+            break
+        lc, le, cp = lead
         hit = None
         for i, red in enumerate(reducers):
-            if red.lead[0] == lp[0]:
-                d = exp_div(lp[1], red.lead[1])
+            if red.lead[0] == lc:
+                d = exp_div(le, red.lead[1])
                 if d is not None:
                     hit = (i, d)
                     break
         if hit is None:
-            if not full:
-                return quots, p
-            t = Poly.monomial(f.n, lp[1], cp)
-            rem_polys = list(rem.polys)
-            rem_polys[lp[0]] = rem_polys[lp[0]] + t
-            rem = Vec(rem_polys)
-            p_polys = list(p.polys)
-            p_polys[lp[0]] = p_polys[lp[0]] - t
-            p = Vec(p_polys)
+            rem[lc][le] = p.pop_lead(lc, le)
         else:
             i, d = hit
             c = cp / reducers[i].coeff
-            quots[i] = quots[i] + Poly.monomial(f.n, d, c)
-            p = p.submul_term(c, d, reducers[i].vec)
-    return quots, rem
+            quots[i][d] = c
+            p.submul_term(c, d, reducers[i].vec)
+    return ([Poly._raw(n, q) for q in quots],
+            Vec([Poly._raw(n, r) for r in rem]))
 
 
 def mora_nf(f, reducers, mo, want_cert=True):
@@ -216,41 +324,49 @@ def mora_nf(f, reducers, mo, want_cert=True):
         pool.append((red.vec, red.lead, red.coeff,
                      vec_ecart(red.vec, red.lead), cert))
 
-    h = f
-    uh = Poly.const(n, 1) if want_cert else None
-    qh = list(zero_q) if want_cert else None
-    while not h.is_zero:
-        lh = mo.lead(h)
-        ch = mo.lead_coeff(h, lh)
+    h = _Dividend(f, mo, track_degree=True)
+    # the certificate of h, as dicts updated in place like h
+    uh = {(0,) * n: ONE} if want_cert else None
+    qh = [{} for _ in range(s)] if want_cert else None
+    while True:
+        lead = h.lead()
+        if lead is None:
+            break
+        hc, he, ch = lead
         best = None
         for idx, entry in enumerate(pool):
-            if entry[1][0] == lh[0]:
-                d = exp_div(lh[1], entry[1][1])
+            if entry[1][0] == hc:
+                d = exp_div(he, entry[1][1])
                 if d is not None and (best is None or entry[3] < best[0]):
                     best = (entry[3], idx, d)
         if best is None:
             break
-        eh = h.total_degree() - exp_deg(lh[1])
+        eh = h.total_degree() - exp_deg(he)
         ec_t, idx, d = best
         if ec_t > eh:
-            pool.append((h, lh, ch, eh,
-                         (uh, list(qh)) if want_cert else None))
+            cert = None
+            if want_cert:
+                cert = (Poly._raw(n, dict(uh)),
+                        [Poly._raw(n, dict(a)) for a in qh])
+            pool.append((h.snapshot(n), (hc, he), ch, eh, cert))
         tvec, _, tc, _, cert = pool[idx]
         c = ch / tc
-        h = h.submul_term(c, d, tvec)
+        h.submul_term(c, d, tvec)
         if want_cert:
-            mono = Poly.monomial(n, d, c)
             ut, qt = cert
-            uh = uh - mono * ut
-            qh = [a - mono * b for a, b in zip(qh, qt)]
+            _submul_into(uh, c, d, ut)
+            for a, b in zip(qh, qt):
+                if b.terms:
+                    _submul_into(a, c, d, b)
+    rem = h.vec(n)
     if not want_cert:
-        return h, None, None
-    if uh.constant_term() == 0:
+        return rem, None, None
+    if (0,) * n not in uh:
         raise EngineError("Mora normal form lost its unit; order misuse?")
-    return h, uh, qh
+    return rem, Poly._raw(n, uh), [Poly._raw(n, a) for a in qh]
 
 
-def normal_form(f, basis, mo, full=None):
+def normal_form(f, basis, mo):
     """Remainder of f modulo a standard basis.  Zero iff f lies in the ideal
     (local orders: in its extension to the local ring at the origin)."""
     f = as_vec(f)
@@ -258,7 +374,7 @@ def normal_form(f, basis, mo, full=None):
     if not reducers:
         return f
     if mo.is_global:
-        _, rem = divide_vec(f, reducers, mo, full=True if full is None else full)
+        _, rem = divide_vec(f, reducers, mo)
         return rem
     rem, _, _ = mora_nf(f, reducers, mo, want_cert=False)
     return rem

@@ -727,7 +727,7 @@ def _conductor_from_weak(D, weak, seed=0):
     dual = weak.dual(seed=seed)
     gens = dual.as_ideal_gens()
     cfrac = FractionalIdeal(D, gens, 1, seed=seed)
-    if not cfrac.includes(cfrac.product(weak)):
+    if not cfrac.includes_product(cfrac, weak):
         raise EngineError("conductor is not an ideal of the weak ring")
     return gens
 

@@ -316,6 +316,28 @@ class Order:
         memo[e] = out
         return out
 
+    def heap_key(self, e):
+        """key(e) flattened with every entry negated: a flat tuple that sorts
+        ascending exactly where key sorts descending.  Division pushes one
+        per new term of its dividend; building it costs little next to the
+        term's Fraction arithmetic, and a memo would hold every exponent the
+        process has reduced."""
+        ep = tuple(e[i] for i in self.perm) if self.perm else e
+        k = self.kind
+        if k == "degrevlex":
+            return (-exp_deg(ep),) + ep[::-1]
+        if k == "lex":
+            return tuple(-x for x in ep)
+        if k == "ds":
+            return (exp_deg(ep),) + ep[::-1]
+        out = ()
+        pos = 0
+        for size in self.blocks:
+            blk = ep[pos:pos + size]
+            out += (-exp_deg(blk),) + blk[::-1]
+            pos += size
+        return out
+
     def leading_exp(self, p):
         if p.is_zero:
             return None

@@ -132,3 +132,51 @@ def test_germ_mismatch():
     C = cusp()
     with pytest.raises(InputError):
         FractionalIdeal.ring(D).equals(FractionalIdeal.ring(C))
+
+
+def _corpus_weak_ring(D, entry):
+    """The weakly holomorphic ring and conductor of a corpus germ, from its
+    branches or else from its smooth factors; None when neither applies."""
+    from logres.normalization import (normalization_from_branches,
+                                      normalization_from_smooth_factors)
+    try:
+        return normalization_from_branches(D)
+    except InputError:
+        pass
+    if entry["factors"]:
+        try:
+            return normalization_from_smooth_factors(
+                D, [D.poly(f) for f in entry["factors"].split(";")])
+        except InputError:
+            pass
+    return None
+
+
+def test_includes_product_agrees_with_product_ideal_on_corpus():
+    from logres.corpus import CORPUS
+    with_weak = []
+    for entry in CORPUS:
+        D = DivisorGerm(entry["vars"], entry["poly"])
+        J = FractionalIdeal(D, jacobian_ideal(D), 1)
+        R = J.dual()
+        O = FractionalIdeal.ring(D)
+        assert O.includes_product(J, R) is O.includes(J.product(R)) is True
+        assert O.includes_product(R, R) == O.includes(R.product(R)), entry["name"]
+        nd = _corpus_weak_ring(D, entry)
+        if nd is not None:
+            with_weak.append(entry["name"])
+            C = FractionalIdeal(D, nd.conductor_gens, 1)
+            weak = nd.weak_ring
+            assert C.includes_product(C, weak) is C.includes(C.product(weak)) is True
+    assert "node" in with_weak and "four-planes-family" in with_weak
+
+
+def test_includes_product_rejects_non_ring():
+    # R_D of the node contains y/(x+y), whose square is not in O_D
+    D = node()
+    R = FractionalIdeal(D, jacobian_ideal(D), 1).dual()
+    O = FractionalIdeal.ring(D)
+    assert not O.equals(R)
+    assert not O.includes_product(R, R)
+    assert not O.includes(R.product(R))
+    assert R.includes_product(O, R)

@@ -8,7 +8,8 @@ from logres.groebner import (Vec, ModOrder, standard_basis, normal_form,
                              saturation, eliminate, intersect_ideals,
                              radical_test, min_generators_local, std_ideal,
                              ideal_contains, ideal_equal, local_colength,
-                             local_dim, kernel_basis, _row_echelon)
+                             local_dim, kernel_basis, _row_echelon,
+                             divide_vec, mora_nf, _Reducer)
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -333,3 +334,168 @@ def test_kernel_basis_against_dense_reference():
             for row in rows:
                 assert sum(a * x for a, x in zip(row, v)) == 0
         assert len(_row_echelon(rows)) == rank == ncols - len(kb)
+
+
+# ---------------------------------------------------------------------------
+# in-place division against the copying reference
+
+
+def _reference_divide_vec(f, reducers, mo):
+    """Global division on immutable Vec copies, with a full lead scan per
+    step: the definition the in-place divide_vec must reproduce."""
+    quots = [Poly.zero(f.n) for _ in reducers]
+    rem = Vec([Poly.zero(f.n) for _ in f.polys])
+    p = f
+    while not p.is_zero:
+        lp = mo.lead(p)
+        cp = mo.lead_coeff(p, lp)
+        hit = None
+        for i, red in enumerate(reducers):
+            if red.lead[0] == lp[0]:
+                d = tuple(a - b for a, b in zip(lp[1], red.lead[1]))
+                if min(d) >= 0:
+                    hit = (i, d)
+                    break
+        if hit is None:
+            t = Poly.monomial(f.n, lp[1], cp)
+            rem_polys = list(rem.polys)
+            rem_polys[lp[0]] = rem_polys[lp[0]] + t
+            rem = Vec(rem_polys)
+            p_polys = list(p.polys)
+            p_polys[lp[0]] = p_polys[lp[0]] - t
+            p = Vec(p_polys)
+        else:
+            i, d = hit
+            c = cp / reducers[i].coeff
+            quots[i] = quots[i] + Poly.monomial(f.n, d, c)
+            p = Vec([a.submul_term(c, d, b)
+                     for a, b in zip(p.polys, reducers[i].vec.polys)])
+    return quots, rem
+
+
+def _reference_mora_nf(f, reducers, mo):
+    """Mora's weak normal form on immutable Vec copies, with a full lead
+    scan and a full degree scan per step."""
+    n = f.n
+    s = len(reducers)
+    zero_q = [Poly.zero(n)] * s
+    if f.is_zero:
+        return f, Poly.const(n, 1), list(zero_q)
+    pool = []
+    for i, red in enumerate(reducers):
+        q = list(zero_q)
+        q[i] = Poly.const(n, -1)
+        pool.append((red.vec, red.lead, red.coeff,
+                     red.vec.total_degree() - sum(red.lead[1]),
+                     (Poly.zero(n), q)))
+    h = f
+    uh = Poly.const(n, 1)
+    qh = list(zero_q)
+    while not h.is_zero:
+        lh = mo.lead(h)
+        ch = mo.lead_coeff(h, lh)
+        best = None
+        for idx, entry in enumerate(pool):
+            if entry[1][0] == lh[0]:
+                d = tuple(a - b for a, b in zip(lh[1], entry[1][1]))
+                if min(d) >= 0 and (best is None or entry[3] < best[0]):
+                    best = (entry[3], idx, d)
+        if best is None:
+            break
+        eh = h.total_degree() - sum(lh[1])
+        ec_t, idx, d = best
+        if ec_t > eh:
+            pool.append((h, lh, ch, eh, (uh, list(qh))))
+        tvec, _, tc, _, (ut, qt) = pool[idx]
+        c = ch / tc
+        h = Vec([a.submul_term(c, d, b) for a, b in zip(h.polys, tvec.polys)])
+        mono = Poly.monomial(n, d, c)
+        uh = uh - mono * ut
+        qh = [a - mono * b for a, b in zip(qh, qt)]
+    return h, uh, qh
+
+
+def _random_poly(rng, n, maxdeg, nterms):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * n
+        for _ in range(rng.randint(0, maxdeg)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                   rng.randint(1, 3))
+    return Poly(n, terms)
+
+
+def _random_vec(rng, n, r, maxdeg, maxterms=4):
+    # about a third of the components are zero
+    polys = [Poly.zero(n) if rng.random() < 0.35
+             else _random_poly(rng, n, maxdeg, rng.randint(1, maxterms))
+             for _ in range(r)]
+    if all(p.is_zero for p in polys):
+        polys[rng.randrange(r)] = _random_poly(rng, n, maxdeg, 2)
+    return Vec(polys)
+
+
+def _random_division(rng, mo, n, r):
+    """A dividend and reducers; the dividend is mostly a combination of the
+    reducers, so reduction steps cancel many terms.  Local orders get
+    smaller input: there Mora's normal form of random vectors can run
+    hundreds of steps with coefficients that grow at each one."""
+    deg, size = (3, 4) if mo.is_global else (2, 3)
+    gens = [_random_vec(rng, n, r, deg, size) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        gens.append(gens[rng.randrange(len(gens))])  # duplicate reducer
+    f = Vec([Poly.zero(n)] * r)
+    for g in gens:
+        if rng.random() < 0.7:
+            f = f + g.mul_poly(_random_poly(rng, n, deg - 1, rng.randint(1, 3)))
+    if rng.random() < 0.6:
+        f = f + _random_vec(rng, n, r, deg, size)
+    return f, [_Reducer(g, mo) for g in gens]
+
+
+def _division_orders():
+    out = []
+    for n in (2, 3):
+        glob = [Order("degrevlex", n), Order("lex", n, perm=tuple(reversed(range(n)))),
+                Order("block", n, blocks=(1, n - 1))]
+        for ring in glob:
+            out.append((ModOrder(ring, "TOP"), 1, n))
+        for r in (2, 3):
+            out.append((ModOrder(glob[0], "TOP"), r, n))
+            out.append((ModOrder(glob[0], "POT"), r, n))
+            out.append((ModOrder(glob[0], "ELIM", elim=r - 1), r, n))
+        for r in (1, 3):
+            out.append((ModOrder(Order("ds", n), "TOP"), r, n))
+            out.append((ModOrder(Order("ds", n), "POT"), r, n))
+    return out
+
+
+def _combination(quots, reducers, rem):
+    acc = rem
+    for q, red in zip(quots, reducers):
+        acc = acc + red.vec.mul_poly(q)
+    return acc
+
+
+def test_in_place_division_matches_copying_reference():
+    import random
+    rng = random.Random(1764)
+    for mo, r, n in _division_orders():
+        for _ in range(25):
+            f, reducers = _random_division(rng, mo, n, r)
+            if mo.is_global:
+                quots, rem = divide_vec(f, reducers, mo)
+                assert (quots, rem) == _reference_divide_vec(f, reducers, mo)
+                assert _combination(quots, reducers, rem) == f
+                # no term of rem is divisible by a reducer lead
+                for c, p in enumerate(rem.polys):
+                    for e in p.terms:
+                        assert not any(red.lead[0] == c and min(
+                            a - b for a, b in zip(e, red.lead[1])) >= 0
+                            for red in reducers), (c, e)
+            rem, unit, quots = mora_nf(f, reducers, mo)
+            assert (rem, unit, quots) == _reference_mora_nf(f, reducers, mo)
+            assert unit.constant_term() != 0
+            assert _combination(quots, reducers, rem) == f.mul_poly(unit)
+            assert mora_nf(f, reducers, mo, want_cert=False)[0] == rem

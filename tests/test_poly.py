@@ -191,6 +191,19 @@ def test_orders():
                 assert order.key(uw) < order.key(vw)
 
 
+def test_heap_key_reverses_key():
+    rng = random.Random(12)
+    perm = (2, 0, 3, 1)
+    for kind, blocks in (("degrevlex", None), ("ds", None), ("lex", None),
+                         ("block", (1, 3)), ("block", (2, 1, 1))):
+        for p in (None, perm):
+            order = Order(kind, 4, blocks=blocks, perm=p)
+            exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)}
+            assert (sorted(exps, key=order.heap_key)
+                    == sorted(exps, key=order.key, reverse=True))
+            assert all(type(x) is int for e in exps for x in order.heap_key(e))
+
+
 def test_global_vs_local_unit_detection():
     # 1 + x generates the unit ideal locally but not globally
     ds = Order("ds", 1)

@@ -244,19 +244,22 @@ def _arrangement_nc_in_codim1(D, factors):
     return True
 
 
-def crosscheck_free_equivalences(D, factors=None, nd=None, seed=0, _pre=None):
+def crosscheck_free_equivalences(D, factors=None, nd=None, seed=0):
     """Evaluate (B), (D), (G) on a free divisor and assert that all decided
     verdicts agree (they are equivalent for free divisors).  Disagreement
     aborts with a counterexample dump."""
-    free, _ = is_free(D) if _pre is None else (_pre["free"], None)
+    free, _ = is_free(D)
     if not free:
         raise InputError("crosscheck_free_equivalences requires a free divisor")
-    if _pre is not None:
-        b, d, g = _pre["B"], _pre["D"], _pre["G"]
-    else:
-        b, _ = check_condition_B(D, factors)
-        d, _, _ = check_condition_D(D, seed=seed)
-        g, _ = check_condition_G(D, nd, seed=seed)
+    b, _ = check_condition_B(D, factors)
+    d, _, _ = check_condition_D(D, seed=seed)
+    g, _ = check_condition_G(D, nd, seed=seed)
+    return _free_equivalences(D, b, d, g)
+
+
+def _free_equivalences(D, b, d, g):
+    """The verdicts of (B), (D), (G) on a free divisor, after asserting that
+    the decided ones agree."""
     decided = [v for v in (b, d, g) if v != UNDECIDED]
     if len(set(decided)) > 1:
         raise ConsistencyError(
@@ -383,11 +386,8 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         ds_verdict = _tri(ds_ok)
         extras["direct_sum"] = ds_verdict
 
-    feq = None
     if free:
-        feq = crosscheck_free_equivalences(D, factors, nd, seed=seed,
-                                   _pre={"free": True, "B": b_verdict,
-                                         "D": d_verdict, "G": g_verdict})
+        feq = _free_equivalences(D, b_verdict, d_verdict, g_verdict)
         extras["free_equivalences"] = feq
         if len({v for v in feq.values() if v != UNDECIDED}) == 1 \
                 and any(v != UNDECIDED for v in feq.values()):
@@ -408,8 +408,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         if not R.dual(seed=seed).equals(J):
             raise ConsistencyError("free divisor with dual(R_D) != J_D")
         consistency.append("jacobian_is_residue_dual")
-        if not J.dual(seed=seed).dual(seed=seed).equals(J):
-            raise ConsistencyError("double dual of J_D differs from J_D on a free divisor")
+        # R_D is dual(J_D) on the same generators: dual(R_D) is the double dual
         consistency.append("double_dual_involution")
         if c_verdict != UNDECIDED and g_verdict != UNDECIDED:
             if c_verdict != g_verdict:

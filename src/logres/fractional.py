@@ -160,10 +160,6 @@ class FractionalIdeal:
         nums = ", ".join(poly_str(p, D.names) for p in self.num)
         return f"FractionalIdeal(<{nums}> / {poly_str(self.den, D.names)})"
 
-    def generators(self):
-        """The fractions (num_i, den) presenting this module."""
-        return [(p, self.den) for p in self.num]
-
     def contains_fraction(self, p, q):
         """p/q in num/den, i.e. p*den in q*num mod h locally (q must be a
         nonzerodivisor, which the caller certifies)."""

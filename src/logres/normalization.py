@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import InputError, EngineError
-from .poly import Poly, poly_str
+from .poly import Poly, poly_str, ZERO, ONE
 from .groebner import local_colength, kernel_basis
 from .fractional import FractionalIdeal, nzd_witness
 from .residues import IdempotentData, validate_factorization
@@ -45,20 +45,15 @@ class Unsupported(Exception):
 
 
 class Jet:
-    """Truncated power series in t with Poly coefficients (the coefficients
-    carry the passive suspension variables).  Exponents below `trunc` are
-    exact."""
+    """Truncated power series in t, exact below `trunc`.  The coefficients
+    are Fractions, or Polys when passive suspension variables ride along;
+    zero coefficients are not stored."""
 
-    __slots__ = ("coeffs", "trunc", "n")
+    __slots__ = ("coeffs", "trunc")
 
-    def __init__(self, n, coeffs, trunc):
-        self.n = n
-        self.coeffs = {e: c for e, c in coeffs.items() if e < trunc and not c.is_zero}
+    def __init__(self, coeffs, trunc):
+        self.coeffs = {e: c for e, c in coeffs.items() if e < trunc and c}
         self.trunc = trunc
-
-    @staticmethod
-    def constant(n, p, trunc):
-        return Jet(n, {0: p}, trunc)
 
     @property
     def is_zero_jet(self):
@@ -72,33 +67,79 @@ class Jet:
     def lead_coeff(self):
         return self.coeffs[min(self.coeffs)]
 
-    def add(self, other):
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Jet(self.n, out, trunc)
-
-    def mul(self, other):
+    def mul(self, other, cap):
+        """The product, exact below `cap` and as far as both factors allow."""
         va = self.valuation()
         vb = other.valuation()
         fa = self.trunc if va is None else va
         fb = other.trunc if vb is None else vb
-        trunc = min(self.trunc + fb, other.trunc + fa)
+        trunc = min(self.trunc + fb, other.trunc + fa, cap)
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e >= trunc:
-                    continue
-                s = out.get(e)
-                p = c1 * c2
-                out[e] = p if s is None else s + p
-        return Jet(self.n, out, trunc)
+                if e < trunc:
+                    s = out.get(e)
+                    p = c1 * c2
+                    out[e] = p if s is None else s + p
+        return Jet(out, trunc)
 
-    def scale(self, c):
-        return Jet(self.n, {e: v.scale(c) for e, v in self.coeffs.items()}, self.trunc)
+
+def substitute(p, jets, trunc, cache=None):
+    """Jet of p with variable i replaced by jets[i], a jet with Fraction
+    coefficients, exact below `trunc`.  Variables without a jet are passive
+    and ride along in Poly coefficients.  Each power jets[i]^k is built once,
+    from the power below it, and kept in `cache` under (i, k, trunc): share a
+    cache only between calls with the same jets."""
+    if cache is None:
+        cache = {}
+
+    def power(i, k):
+        key = (i, k, trunc)
+        pw = cache.get(key)
+        if pw is None:
+            if k == 1:
+                pw = Jet(jets[i].coeffs, min(jets[i].trunc, trunc))
+            else:
+                pw = power(i, k - 1).mul(power(i, 1), trunc)
+            cache[key] = pw
+        return pw
+
+    n = p.n
+    passive = len(jets) < n
+    out = {}
+    for e, c in p.terms.items():
+        # c * t^shift * term, with single-term powers folded into c and shift
+        shift, term = 0, None
+        for i in jets:
+            if e[i] and shift < trunc:
+                pw = power(i, e[i])
+                if len(pw.coeffs) == 1:
+                    (s, v), = pw.coeffs.items()
+                    shift += s
+                    c = c * v
+                else:
+                    term = pw if term is None else term.mul(pw, trunc - shift)
+        if shift >= trunc or (term is not None and not term.coeffs):
+            continue
+        items = ((0, ONE),) if term is None else term.coeffs.items()
+        if passive:
+            pe = tuple(0 if i in jets else k for i, k in enumerate(e))
+            for s, v in items:
+                acc = out.setdefault(s + shift, {})
+                acc[pe] = acc.get(pe, ZERO) + c * v
+        else:
+            for s, v in items:
+                out[s + shift] = out.get(s + shift, ZERO) + c * v
+    if passive:
+        out = {s: Poly._raw(n, {pe: v for pe, v in acc.items() if v})
+               for s, acc in out.items()}
+    return Jet(out, trunc)
+
+
+def _constant(c):
+    """Value of a jet coefficient where the passive variables vanish."""
+    return c.constant_term() if isinstance(c, Poly) else c
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +175,6 @@ class BranchParam:
             raise InputError("branch parametrization is constant")
         return min(vals)
 
-    def var_jet(self, n, i):
-        return Jet(n, {e: Poly.const(n, c) for e, c in self.series.get(i, {}).items()},
-                   self.trunc)
-
     def sign_flipped(self):
         return BranchParam({i: {e: (-c if e % 2 else c) for e, c in s.items()}
                             for i, s in self.series.items()}, self.trunc)
@@ -171,33 +208,9 @@ def pullback(p, branch, D, cache=None, trunc=None):
     """Jet of p along the branch; passive variables stay as polynomial
     coefficients.  `trunc` caps the jet precision (never above the branch
     truncation); a shared `cache` avoids recomputing series powers."""
-    n = D.n
     trunc = branch.trunc if trunc is None else min(trunc, branch.trunc)
-    if cache is None:
-        cache = {}
-
-    def var_power(i, k):
-        key = (i, k, trunc)
-        if key not in cache:
-            if k == 1:
-                base = branch.var_jet(n, i)
-                cache[key] = Jet(n, base.coeffs, trunc)
-            else:
-                half = var_power(i, k // 2)
-                sq = half.mul(half)
-                cache[key] = sq if k % 2 == 0 else sq.mul(var_power(i, 1))
-        return cache[key]
-
-    active = set(branch.series.keys())
-    out = Jet(n, {}, trunc)
-    for e, c in p.terms.items():
-        passive_exp = tuple(k if i not in active else 0 for i, k in enumerate(e))
-        term = Jet.constant(n, Poly.monomial(n, passive_exp, c), trunc)
-        for i in active:
-            if e[i]:
-                term = term.mul(var_power(i, e[i]))
-        out = out.add(term)
-    return out
+    jets = {i: Jet(s, branch.trunc) for i, s in branch.series.items()}
+    return substitute(p, jets, trunc, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +277,7 @@ def _edge_char(p, q, m, pts):
         if k * q != j - jmin:
             raise EngineError("edge point off the slope lattice")
         psi[k] = psi.get(k, Fraction(0)) + p.terms[(i, j)]
-    return {k: c for k, c in psi.items() if c}, jmin
+    return {k: c for k, c in psi.items() if c}
 
 
 def _dense(poly_dict):
@@ -359,58 +372,22 @@ def _rational_qth_root(w, q):
     return c
 
 
-def _series_mul(a, b, prec):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e > prec:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _eval_poly_at_series(p, phi, prec):
-    """p(x, phi(x)) truncated at x^prec; p is a 2-variable Poly, phi a series
-    dict in x."""
-    powers = {0: {0: Fraction(1)}}
-
-    def phi_pow(k):
-        if k not in powers:
-            powers[k] = _series_mul(phi_pow(k - 1), phi, prec)
-        return powers[k]
-
-    out = {}
-    for (i, j), c in p.terms.items():
-        if i > prec:
-            continue
-        for e, v in phi_pow(j).items():
-            ee = e + i
-            if ee > prec:
-                continue
-            out[ee] = out.get(ee, Fraction(0)) + c * v
-    return {e: c for e, c in out.items() if c}
-
-
 def _newton_lift(g, prec):
     """The unique series phi with phi(0) = 0 and g(x, phi(x)) = 0 mod
     x^(prec+1), for g with dg/dy invertible at the origin."""
     gy0 = g.terms.get((0, 1))
-    if gy0 is None or gy0 == 0:
+    if not gy0:
         raise EngineError("newton lift requires a simple root")
+    x = Jet({1: ONE}, prec + 1)
     phi = {}
     while True:
-        r = _eval_poly_at_series(g, phi, prec)
-        r = {e: c for e, c in r.items() if c}
+        r = substitute(g, {0: x, 1: Jet(phi, prec + 1)}, prec + 1).coeffs
         if not r:
             return phi
         k = min(r)
-        if k > prec:
-            return phi
         if k == 0:
             raise EngineError("newton lift lost the root")
-        phi[k] = phi.get(k, Fraction(0)) - r[k] / gy0
-        phi = {e: c for e, c in phi.items() if c}
+        phi[k] = -r[k] / gy0
 
 
 def _substitute_edge(h2, q, m, c):
@@ -440,7 +417,7 @@ def _expand(h2, prec, depth, edge_filter=None):
     for q, m, pts in _newton_edges(h2):
         if edge_filter is not None and (q, m) != edge_filter:
             continue
-        psi, _ = _edge_char(h2, q, m, pts)
+        psi = _edge_char(h2, q, m, pts)
         roots, undecided = _rational_roots(psi)
         if undecided:
             raise Unsupported
@@ -450,21 +427,18 @@ def _expand(h2, prec, depth, edge_filter=None):
                 raise Unsupported
             g = _substitute_edge(h2, q, m, c)
             if mult == 1 and g.terms.get((0, 1)):
-                phi = _newton_lift(g, prec)
-                yser = {m: Fraction(c)}
-                for e, v in phi.items():
-                    if m + e <= prec:
-                        yser[m + e] = yser.get(m + e, Fraction(0)) + v
-                out.append((q, {e: v for e, v in yser.items() if v}))
+                out.append((q, _splice(c, m, _newton_lift(g, prec), prec)))
             else:
                 for q2, phi in _expand(g, prec, depth + 1):
-                    Q = q * q2
-                    yser = {m * q2: Fraction(c)}
-                    for e, v in phi.items():
-                        ee = m * q2 + e
-                        if ee <= prec:
-                            yser[ee] = yser.get(ee, Fraction(0)) + v
-                    out.append((Q, {e: v for e, v in yser.items() if v}))
+                    out.append((q * q2, _splice(c, m * q2, phi, prec)))
+    return out
+
+
+def _splice(c, s, phi, prec):
+    """The series c*t^s + t^s*phi(t), the shifted phi cut above t^prec; phi
+    has no constant term."""
+    out = {s: Fraction(c)}
+    out.update((s + e, v) for e, v in phi.items() if s + e <= prec)
     return out
 
 
@@ -481,7 +455,6 @@ def _curve_setup(D):
         if not passive:
             return None
         cvars = [active[0], passive[0]]
-    mapping = {cvars[0]: 0, cvars[1]: 1}
     h2 = Poly._raw(2, {(e[cvars[0]], e[cvars[1]]): c for e, c in D.h.terms.items()})
     return cvars, h2
 
@@ -549,7 +522,7 @@ class NormalizationData:
         self.bounds = dict(bounds)
 
 
-def _certify_branch(D, branch, h2, cvars):
+def _certify_branch(D, branch):
     sub = pullback(D.h, branch, D)
     if not sub.is_zero_jet:
         raise InputError(
@@ -592,21 +565,8 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
                          "(plane curve or suspension of one)")
     cvars, h2 = setup
     cb, mu = conductor_bound(D)
-    user_supplied = branches is not None
 
-    def required_precision(br_list):
-        vals = []
-        for ell2, ell_full in _line_schedule(D, cvars):
-            try:
-                v = [_branch_valuation(pullback(ell_full, b, D), "a linear form")
-                     for b in br_list]
-            except InputError:
-                continue
-            if nzd_witness(D, ell_full) is None:
-                vals = v
-                break
-        if not vals:
-            raise InputError("no nonzerodivisor linear form found on the branches")
+    def required_precision(vals):
         B = -(-cb // min(vals))
         K = B * max(vals)
         return 2 * K + cb + 8
@@ -618,11 +578,14 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
             raise InputError(
                 "rational puiseux expansion unsupported for this germ; "
                 "supply branches explicitly")
-        need = required_precision(branches)
+        ell_full, ell_vals = _denominator_form(D, cvars, branches)
+        need = required_precision(ell_vals)
         if prec0 < need:
             branches = puiseux_rational(D, precision=need)
+            ell_full, ell_vals = _denominator_form(D, cvars, branches)
     else:
-        need = required_precision(branches)
+        ell_full, ell_vals = _denominator_form(D, cvars, branches)
+        need = required_precision(ell_vals)
         short = [b for b in branches if b.trunc < need]
         if short:
             raise InputError(
@@ -630,7 +593,7 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
                 f"{need}; raise the truncation")
 
     for b in branches:
-        _certify_branch(D, b, h2, cvars)
+        _certify_branch(D, b)
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
             if branches[i].same_branch(branches[j]):
@@ -642,21 +605,7 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
             f"branch system is incomplete: multiplicities sum to {total_mult} "
             f"but the curve has multiplicity {curve_mult}")
 
-    # choose the denominator q = ell^B with val(q) >= conductor bound
-    ell_full = None
-    ell_vals = None
-    for e2, ef in _line_schedule(D, cvars):
-        if nzd_witness(D, ef) is not None:
-            continue
-        try:
-            vals = [_branch_valuation(pullback(ef, b, D), "a linear form")
-                    for b in branches]
-        except InputError:
-            continue
-        ell_full, ell_vals = ef, vals
-        break
-    if ell_full is None:
-        raise InputError("no nonzerodivisor linear form found on the branches")
+    # the denominator q = ell^B with val(q) >= conductor bound
     B = -(-cb // min(ell_vals))
     qden = ell_full ** B
     vq = [B * v for v in ell_vals]
@@ -676,11 +625,7 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
         cache = {}
         jets = [pullback(mn, b, D, cache=cache, trunc=v) for mn in monos]
         for t_exp in range(v):
-            row = []
-            for j in jets:
-                coeff = j.coeffs.get(t_exp)
-                row.append(Fraction(0) if coeff is None else coeff.constant_term())
-            rows.append(row)
+            rows.append([_constant(j.coeffs.get(t_exp, ZERO)) for j in jets])
     num_gens = []
     for veck in kernel_basis(rows, len(monos)):
         p = Poly.zero(D.n)
@@ -707,10 +652,25 @@ def _line_schedule(D, cvars):
     """Candidate linear forms in the curve variables, deterministic order."""
     u = Poly.variable(D.n, cvars[0])
     v = Poly.variable(D.n, cvars[1])
-    yield None, u
-    yield None, v
+    yield u
+    yield v
     for a, b in ((1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-        yield None, u.scale(a) + v.scale(b)
+        yield u.scale(a) + v.scale(b)
+
+
+def _denominator_form(D, cvars, branches):
+    """(ell, its valuation on each branch) for the first linear form of the
+    schedule that is a nonzerodivisor with valuations readable at the
+    branches' truncation."""
+    for ell in _line_schedule(D, cvars):
+        if nzd_witness(D, ell) is not None:
+            continue
+        try:
+            return ell, [_branch_valuation(pullback(ell, b, D), "a linear form")
+                         for b in branches]
+        except InputError:
+            continue
+    raise InputError("no nonzerodivisor linear form found on the branches")
 
 
 def _certify_weak_ring(D, weak):
@@ -762,7 +722,7 @@ def is_weakly_holomorphic(frac, nd):
             raise InputError(
                 "truncation insufficient to decide: denominator pullback "
                 "vanishes to the stored order")
-        if jd.lead_coeff().constant_term() == 0:
+        if not _constant(jd.lead_coeff()):
             raise EngineError(
                 "denominator pullback degenerates along the passive directions")
         jn = pullback(frac.num, b, D)

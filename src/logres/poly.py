@@ -365,12 +365,6 @@ def _order_cache(kind, n):
     return Order(kind, n)
 
 
-def ecart(p, order):
-    """Total degree of p minus total degree of its leading monomial; the
-    selection quantity of Mora's normal form."""
-    return p.total_degree() - exp_deg(order.leading_exp(p))
-
-
 # ---------------------------------------------------------------------------
 # parsing / printing
 

@@ -1,12 +1,13 @@
 """Branches, Puiseux expansion, the weakly holomorphic ring, conductor."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from logres.errors import InputError
-from logres.poly import parse
+from logres.poly import Poly, parse
 from logres.germs import DivisorGerm
 from logres.fractional import FractionalIdeal
 from logres.residues import MeroFraction, residue_module
@@ -235,3 +236,76 @@ def test_chain_inclusions_on_curves():
         chain = [J, R.dual(), C, O, nd.weak_ring, R]
         for small, big in zip(chain, chain[1:]):
             assert big.includes(small)
+
+
+def pullback_oracle(p, branch, trunc):
+    """{t-exponent: Poly in the passive variables} of p along the branch,
+    from Poly.subs in a ring with an extra variable t, cut below trunc."""
+    n = p.n
+    lift = Poly(n + 1, {e + (0,): c for e, c in p.terms.items()})
+    sub = {i: Poly(n + 1, {(0,) * n + (e,): c for e, c in s.items()})
+           for i, s in branch.series.items()}
+    out = {}
+    for e, c in lift.subs(sub).terms.items():
+        if e[n] < trunc:
+            out.setdefault(e[n], {})[e[:n]] = c
+    return {s: Poly(n, terms) for s, terms in out.items()}
+
+
+def test_pullback_matches_substitution_oracle():
+    plane = DivisorGerm(["x", "y"], "x^2 - y^3")
+    susp = DivisorGerm(["x", "y", "z"], "x^2 - y^3")
+    branch = BranchParam({0: {3: 1, 4: Fraction(-2, 3), 7: 5},
+                          1: {2: 1, 3: Fraction(1, 2)}}, 20)
+    axis = BranchParam({0: {}, 1: {1: 1}}, 20)
+    cases = [(plane, ["x^2 - y^3", "3*x*y^2 - 1/2*y^5 + x^3*y + 7",
+                      "x^4 + x^2*y^2 - 2*y^6"]),
+             (susp, ["z*x^2 - y^3 + z^2", "2*x*y*z - z^3*y^2 + x^5 + 1",
+                     "z^4"])]
+    checked = 0
+    for D, texts in cases:
+        for b in (branch, axis):
+            for trunc in (None, 1, 7, 13, 40):
+                cache = {}
+                cap = b.trunc if trunc is None else min(trunc, b.trunc)
+                for text in texts:
+                    p = D.poly(text)
+                    jet = pullback(p, b, D, cache=cache, trunc=trunc)
+                    assert jet.trunc == cap
+                    got = {s: c if isinstance(c, Poly) else Poly.const(D.n, c)
+                           for s, c in jet.coeffs.items()}
+                    # Fraction coefficients exactly when no variable is passive
+                    assert all(isinstance(c, Poly) == (D.n == 3)
+                               for c in jet.coeffs.values())
+                    assert got == pullback_oracle(p, b, cap), (text, trunc)
+                    checked += 1
+    assert checked == 60
+
+
+def puiseux_digest(branches):
+    data = [[b.trunc, [[i, [[e, str(c)] for e, c in sorted(s.items())]]
+                       for i, s in sorted(b.series.items())]]
+            for b in branches]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+# sha256 of puiseux_rational output at the precisions the normalization asks
+# for, taken before Newton lifting and pullback shared one series type
+GOLDEN_BRANCHES = [
+    ("x^4 + y^5 + x*y^4", 46,
+     "0f4fc3e4d9d745bdbae7fda999e76304b205114efd9b4ed0a4d41a4fb143aa12"),
+    ("x^4 + y^5 + x*y^4", 53,
+     "4c08d0736eae118347ae393529129be22af01e2d0b8ba7e03493a2382374fe9a"),
+    ("x^5-y^7", 92,
+     "8cee7a7d637c95348014820af9fbd9c3c4566662a8b774d2eef0bd6503f25a85"),
+    ("x*(x+y^3)", 28,
+     "ecf43b955f60ba9e4a70f7cef500ca6f3942236d29f6e92399b22b17876c8123"),
+    ("x*y*(x-y)*(x+y)", 44,
+     "5acb2f926b91feb57650ea93ddc6364205e10a3d1768f2e1705262ed699edbae"),
+]
+
+
+@pytest.mark.parametrize("poly,precision,digest", GOLDEN_BRANCHES)
+def test_puiseux_branches_are_pinned(poly, precision, digest):
+    D = DivisorGerm(["x", "y"], poly)
+    assert puiseux_digest(puiseux_rational(D, precision=precision)) == digest

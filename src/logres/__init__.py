@@ -6,7 +6,7 @@ from .errors import (LogresError, ParseError, InputError, EngineError,
                      ConsistencyError)
 from .poly import Poly, Order, parse, poly_str, poly_gcd, exact_div, \
     squarefree_check, is_unit_local
-from .groebner import (Ideal, Vec, ModOrder, standard_basis, normal_form,
+from .groebner import (Vec, ModOrder, standard_basis, normal_form,
                        division_certificate, syzygies, ideal_quotient,
                        saturation, eliminate, intersect_ideals, radical_test,
                        min_generators_local, local_colength, local_dim)

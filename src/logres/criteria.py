@@ -90,11 +90,15 @@ class DivisorReport:
 # individual conditions
 
 
-def check_condition_C(D, nd, R=None, seed=0, max_integral_degree=4):
+# the highest degree of a monic integral equation searched for a residue
+MAX_INTEGRAL_DEGREE = 4
+
+
+def check_condition_C(D, nd, seed=0):
     """Residues weakly holomorphic (R_D = O~).  Decidable through
     normalization data or, failing that, through explicit integral equations
     for the residue generators.  Returns (verdict, witness_text)."""
-    R = R if R is not None else residue_module(D, crosscheck=False, seed=seed)
+    R = residue_module(D, crosscheck=False, seed=seed)
     if nd is not None:
         if nd.source == "branches":
             for p in R.num:
@@ -113,23 +117,22 @@ def check_condition_C(D, nd, R=None, seed=0, max_integral_degree=4):
     # integrality route: every generator satisfying a monic equation over O_D
     # lies in the normalization, and O~ is always inside R_D
     for p in R.num:
-        deg = _integrality_degree(D, p, R.den, max_integral_degree)
-        if deg is None:
+        if _integrality_degree(D, p, R.den) is None:
             return UNDECIDED, "no normalization data and integrality search exhausted"
     return TRUE, "every residue generator satisfies a monic equation over O_D"
 
 
-def _integrality_degree(D, p, q, max_degree):
+def _integrality_degree(D, p, q):
     """Least d with p^d in <q p^(d-1), ..., q^d> + <h> locally (a monic
     integral equation for p/q over O_D), or None within the search bound."""
-    for d in range(1, max_degree + 1):
+    for d in range(1, MAX_INTEGRAL_DEGREE + 1):
         gens = [(q ** i) * (p ** (d - i)) for i in range(1, d + 1)]
         if D.member_mod_h(p ** d, gens):
             return d
     return None
 
 
-def check_condition_G(D, nd, c_verdict=None, R=None, seed=0):
+def check_condition_G(D, nd, c_verdict=None, seed=0):
     """Jacobian ideal equals the conductor ideal.  Needs a conductor: from
     normalization data, or derived as dual(R_D) when condition (C) is
     certified true."""
@@ -137,7 +140,7 @@ def check_condition_G(D, nd, c_verdict=None, R=None, seed=0):
     if nd is not None:
         cond = nd.conductor_gens
     elif c_verdict == TRUE:
-        R = R if R is not None else residue_module(D, crosscheck=False, seed=seed)
+        R = residue_module(D, crosscheck=False, seed=seed)
         cond = R.dual(seed=seed).as_ideal_gens()
     else:
         return UNDECIDED, "no conductor available"
@@ -328,9 +331,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if euler:
         chi = ef.normalized()
         if chi is not None:
-            witnesses["euler"] = " + ".join(
-                f"({poly_str(c, D.names)})*d/d{D.names[i]}"
-                for i, c in enumerate(chi.coeffs) if not c.is_zero)
+            witnesses["euler"] = chi.str_of(D)
         else:
             witnesses["euler"] = "certificate with non-constant unit"
 
@@ -340,6 +341,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if _curve_setup(D) is not None:
         nd = normalization_from_branches(D, branches=branches,
                                          precision=precision, seed=seed)
+        if nd is None:
+            witnesses["normalization"] = ("rational Newton-Puiseux expansion "
+                                          "unsupported and no branches supplied")
     if factors:
         try:
             nd_factors = normalization_from_smooth_factors(D, factors, seed=seed)
@@ -358,9 +362,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     extras["contains_unit"] = has_unit
     gor = gorenstein_singular_locus(D, seed=seed)
 
-    c_verdict, c_why = check_condition_C(D, nd, R=R, seed=seed)
+    c_verdict, c_why = check_condition_C(D, nd, seed=seed)
     witnesses["condition_C"] = c_why
-    g_verdict, g_why = check_condition_G(D, nd, c_verdict=c_verdict, R=R, seed=seed)
+    g_verdict, g_why = check_condition_G(D, nd, c_verdict=c_verdict, seed=seed)
     witnesses["condition_G"] = g_why
     d_verdict, d_why, rv = check_condition_D(D, seed=seed)
     witnesses["condition_D"] = d_why
@@ -398,9 +402,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if susp == "suspension_of_quasihomogeneous_plane_curve":
         chi = susp_data.normalized()
         if chi is not None:
-            witnesses["suspension_euler"] = " + ".join(
-                f"({poly_str(c, D.names)})*d/d{D.names[i]}"
-                for i, c in enumerate(chi.coeffs) if not c.is_zero)
+            witnesses["suspension_euler"] = chi.str_of(D)
 
     # --- proven equivalences, re-verified on every run --------------------
     J = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed)
@@ -424,6 +426,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         if (mu == 1) != D.is_smooth:
             raise ConsistencyError("R_D cyclic iff smooth failed")
         consistency.append("cyclic_residues_iff_smooth")
+    # the paper's main theorem, for every reduced hypersurface (free or not):
+    # D is normal crossing in codimension one iff its logarithmic residues
+    # are weakly holomorphic (R_D = O~), extending Le-Saito
     if b_verdict == TRUE and c_verdict == FALSE:
         raise ConsistencyError("(B) true with (C) false violates the implication")
     if b_verdict == TRUE and c_verdict == TRUE:
@@ -431,6 +436,10 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if nd is not None:
         _verify_chain(D, J, R, nd, seed=seed)
         consistency.append("fractional_ideal_chain")
+    # nd_factors is set only when every factor is smooth; then the normalization
+    # is the disjoint union of the components, the idempotent module is O~,
+    # and R_D equals it iff (C) holds, which by the main theorem forces
+    # normal crossing in codimension one, here pairwise transversality
     if ds_verdict is not None and nd_factors is not None:
         transversal = _arrangement_nc_in_codim1(D, factors)
         coherent = (ds_verdict == TRUE) == (c_verdict == TRUE and transversal)

@@ -12,7 +12,6 @@ comparison.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div, poly_gcd
@@ -82,7 +81,7 @@ def _nzd_candidates(gens, n, seed):
         yield acc
 
 
-def find_nzd_in(D, gens, seed=0, budget=NZD_TRIAL_BUDGET):
+def find_nzd_in(D, gens, seed=0):
     """A certified nonzerodivisor inside the ideal generated by gens mod h,
     or None after the trial budget."""
     seen = set()
@@ -94,7 +93,7 @@ def find_nzd_in(D, gens, seed=0, budget=NZD_TRIAL_BUDGET):
         count += 1
         if nzd_witness(D, cand) is None:
             return cand
-        if count >= budget:
+        if count >= NZD_TRIAL_BUDGET:
             return None
     return None
 

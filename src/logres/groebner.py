@@ -108,18 +108,9 @@ class ModOrder:
     def is_global(self):
         return self.ring.is_global
 
-    def key(self, cm):
-        c, e = cm
-        rk = self.ring.key(e)
-        if self.rule == "TOP":
-            return (rk, -c)
-        if self.rule == "POT":
-            return (-c, rk)
-        return (1 if c < self.elim else 0, rk, -c)
-
     def heap_key(self, c, e):
-        """A flat tuple that sorts ascending exactly where key((c, e)) sorts
-        descending, so the lead is the least entry of a min-heap."""
+        """A flat tuple that sorts ascending from the largest module monomial
+        to the smallest, so the lead is the least entry of a min-heap."""
         rk = self.ring.heap_key(e)
         if self.rule == "TOP":
             return rk + (c,)
@@ -128,37 +119,42 @@ class ModOrder:
         return (0 if c < self.elim else 1,) + rk + (c,)
 
     def lead(self, v):
-        """Leading module monomial (comp, exp) of v, or None."""
+        """Leading module monomial (comp, exp) of v, or None: the least
+        heap_key, taken over the least ring key of each component."""
+        rk = self.ring.heap_key
         best = None
-        best_key = None
         for c, p in enumerate(v.polys):
-            for e in p.terms:
-                k = self.key((c, e))
-                if best_key is None or k > best_key:
-                    best_key = k
-                    best = (c, e)
-        return best
+            if p.terms:
+                e = min(p.terms, key=rk)
+                k = self.heap_key(c, e)
+                if best is None or k < best[0]:
+                    best = (k, c, e)
+        return None if best is None else best[1:]
 
     def lead_coeff(self, v, lead):
         c, e = lead
         return v.polys[c].terms[e]
 
 
-def vec_ecart(v, lead):
-    return v.total_degree() - exp_deg(lead[1])
-
-
 # ---------------------------------------------------------------------------
 # division
 
 
-class _Reducer:
-    __slots__ = ("vec", "lead", "coeff")
+class _Elem:
+    """A nonzero module element with its lead and lead coefficient under the
+    order of the computation: a basis element, and the one reducer type of
+    division."""
 
-    def __init__(self, vec, mo):
+    __slots__ = ("vec", "lead", "coeff", "sugar", "trow", "mono")
+
+    def __init__(self, vec, mo, sugar=0, trow=None):
         self.vec = vec
         self.lead = mo.lead(vec)
         self.coeff = mo.lead_coeff(vec, self.lead)
+        self.sugar = sugar
+        self.trow = trow
+        # a single term: the S-vector of two such elements is zero
+        self.mono = sum(len(p.terms) for p in vec.polys) == 1
 
 
 class _Dividend:
@@ -322,7 +318,7 @@ def mora_nf(f, reducers, mo, want_cert=True):
             q[i] = Poly.const(n, -1)
             cert = (Poly.zero(n), q)
         pool.append((red.vec, red.lead, red.coeff,
-                     vec_ecart(red.vec, red.lead), cert))
+                     red.vec.total_degree() - exp_deg(red.lead[1]), cert))
 
     h = _Dividend(f, mo, track_degree=True)
     # the certificate of h, as dicts updated in place like h
@@ -366,68 +362,49 @@ def mora_nf(f, reducers, mo, want_cert=True):
     return rem, Poly._raw(n, uh), [Poly._raw(n, a) for a in qh]
 
 
+def _reducers(basis, mo):
+    """(position, reducer) for each nonzero element of basis."""
+    vecs = [as_vec(g) for g in basis]
+    return [(i, _Elem(v, mo)) for i, v in enumerate(vecs) if not v.is_zero]
+
+
 def normal_form(f, basis, mo):
     """Remainder of f modulo a standard basis.  Zero iff f lies in the ideal
     (local orders: in its extension to the local ring at the origin)."""
-    f = as_vec(f)
-    reducers = [_Reducer(as_vec(g), mo) for g in basis if not as_vec(g).is_zero]
+    return _remainder(as_vec(f), [red for _, red in _reducers(basis, mo)], mo)
+
+
+def _remainder(f, reducers, mo):
     if not reducers:
         return f
     if mo.is_global:
-        _, rem = divide_vec(f, reducers, mo)
-        return rem
-    rem, _, _ = mora_nf(f, reducers, mo, want_cert=False)
-    return rem
+        return divide_vec(f, reducers, mo)[1]
+    return mora_nf(f, reducers, mo, want_cert=False)[0]
 
 
 def division_certificate(f, basis, mo):
     """(quots, unit, rem) with unit*f = sum quots*basis + rem, unit(0) != 0
-    (unit = 1 for global orders)."""
+    (unit = 1 for global orders); a zero element of basis gets quotient 0."""
     f = as_vec(f)
-    reducers = [_Reducer(as_vec(g), mo) for g in basis]
+    indexed = _reducers(basis, mo)
+    reducers = [red for _, red in indexed]
     if mo.is_global:
         quots, rem = divide_vec(f, reducers, mo)
-        return quots, Poly.const(f.n, 1), rem
-    rem, unit, quots = mora_nf(f, reducers, mo)
-    return quots, unit, rem
+        unit = Poly.const(f.n, 1)
+    else:
+        rem, unit, quots = mora_nf(f, reducers, mo)
+    full = [Poly.zero(f.n)] * len(basis)
+    for (i, _), q in zip(indexed, quots):
+        full[i] = q
+    return full, unit, rem
 
 
 # ---------------------------------------------------------------------------
 # basis computation
 
 
-def _s_pair_data(gi, gj):
-    (c, ei), (c2, ej) = gi.lead, gj.lead
-    if c != c2:
-        return None
-    l = exp_lcm(ei, ej)
-    return l
-
-
-def _s_vec(gi, gj, l):
-    di = exp_div(l, gi.lead[1])
-    dj = exp_div(l, gj.lead[1])
-    return gi.vec.mul_term(ONE / gi.coeff, di), gj.vec.mul_term(ONE / gj.coeff, dj)
-
-
-class _Elem:
-    """A basis element with its lead and lead coefficient under the order
-    of the computation; it serves directly as a reducer in division."""
-
-    __slots__ = ("vec", "lead", "coeff", "sugar", "trow", "mono")
-
-    def __init__(self, vec, mo, sugar, trow):
-        self.vec = vec
-        self.lead = mo.lead(vec)
-        self.coeff = mo.lead_coeff(vec, self.lead)
-        self.sugar = sugar
-        self.trow = trow
-        # a single term: the S-vector of two such elements is zero
-        self.mono = sum(len(p.terms) for p in vec.polys) == 1
-
-
 def _compute_basis(gens, mo, transform):
-    """Shared Buchberger/Mora loop.  Returns list of (vec, trow)."""
+    """Shared Buchberger/Mora loop.  Returns the list of _Elem."""
     n = None
     G = []
     for i, g in enumerate(gens):
@@ -466,19 +443,20 @@ def _compute_basis(gens, mo, transform):
 
     def push_pair(i, j):
         nonlocal counter
-        if G[i].mono and G[j].mono:
+        gi, gj = G[i], G[j]
+        if gi.mono and gj.mono:
             return
-        l = _s_pair_data(G[i], G[j])
-        if l is None:
+        (ci, ei), (cj, ej) = gi.lead, gj.lead
+        if ci != cj:
             return
-        if G[i].vec.r == 1:
+        l = exp_lcm(ei, ej)
+        if gi.vec.r == 1 and exp_mul(ei, ej) == l:
             # product criterion (ideals only)
-            if exp_mul(G[i].lead[1], G[j].lead[1]) == l:
-                return
-        sugar = max(G[i].sugar + exp_deg(l) - exp_deg(G[i].lead[1]),
-                    G[j].sugar + exp_deg(l) - exp_deg(G[j].lead[1]))
+            return
+        dl = exp_deg(l)
+        sugar = max(gi.sugar + dl - exp_deg(ei), gj.sugar + dl - exp_deg(ej))
         counter += 1
-        heappush(pairs, (exp_deg(l), sugar, i, j, counter, l))
+        heappush(pairs, (dl, sugar, i, j, counter, l))
 
     for i in range(len(G)):
         for j in range(i):
@@ -486,17 +464,18 @@ def _compute_basis(gens, mo, transform):
 
     while pairs:
         _, sugar, i, j, _, l = heappop(pairs)
-        a, b = _s_vec(G[i], G[j], l)
-        svec = a - b
+        gi, gj = G[i], G[j]
+        di = exp_div(l, gi.lead[1])
+        dj = exp_div(l, gj.lead[1])
+        svec = (gi.vec.mul_term(ONE / gi.coeff, di)
+                - gj.vec.mul_term(ONE / gj.coeff, dj))
         if svec.is_zero:
             continue
         trow_parts = None
         if transform:
-            di = exp_div(l, G[i].lead[1])
-            dj = exp_div(l, G[j].lead[1])
-            trow_parts = [p.mul_term(ONE / G[i].coeff, di) for p in G[i].trow]
-            trow_parts = [q1 - q2.mul_term(ONE / G[j].coeff, dj)
-                          for q1, q2 in zip(trow_parts, G[j].trow)]
+            trow_parts = [p.mul_term(ONE / gi.coeff, di) for p in gi.trow]
+            trow_parts = [q1 - q2.mul_term(ONE / gj.coeff, dj)
+                          for q1, q2 in zip(trow_parts, gj.trow)]
         red = reduce_elem(svec, trow_parts)
         if red is None:
             continue
@@ -507,7 +486,7 @@ def _compute_basis(gens, mo, transform):
     return G
 
 
-def _minimalize(G, mo):
+def _minimalize(G):
     """Drop elements whose lead is divisible by another element's lead."""
     keep = []
     for i, e in enumerate(G):
@@ -549,7 +528,7 @@ def standard_basis(gens, mo, transform=False):
         work_mo = ModOrder(Order("degrevlex", n, perm=mo.ring.perm), mo.rule, mo.elim)
 
     G = _compute_basis(gens, work_mo, transform)
-    G = _minimalize(G, mo)
+    G = _minimalize(G)
 
     if not local:
         # tail-reduce for the canonical reduced basis
@@ -579,8 +558,8 @@ def standard_basis(gens, mo, transform=False):
         c = e.coeff
         vec = e.vec.scale(ONE / c)
         trow = [t.scale(ONE / c) for t in e.trow] if transform else None
-        out.append((vec, mo.key(e.lead), trow))
-    out.sort(key=lambda t: t[1], reverse=True)
+        out.append((vec, mo.heap_key(*e.lead), trow))
+    out.sort(key=lambda t: t[1])
     basis = [v for v, _, _ in out]
     if transform:
         return basis, [t for _, _, t in out]
@@ -607,8 +586,11 @@ _STD_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_STD_CACHE_SIZE)
 def _std_cached(gens, order):
-    return tuple(v.polys[0] for v in
-                 standard_basis([Vec([g]) for g in gens], _ideal_mo(order)))
+    """The standard basis of the ideal of the nonzero gens, its elements
+    kept as reducers so that a membership test finds no lead again."""
+    mo = _ideal_mo(order)
+    return tuple(_Elem(v, mo) for v in
+                 standard_basis([Vec([g]) for g in gens], mo))
 
 
 def std_ideal(gens, order):
@@ -616,7 +598,7 @@ def std_ideal(gens, order):
     key = tuple(g for g in gens if not g.is_zero)
     if not key:
         return ()
-    return _std_cached(key, order)
+    return tuple(e.vec.polys[0] for e in _std_cached(key, order))
 
 
 def reduce_poly(f, basis, order):
@@ -625,10 +607,11 @@ def reduce_poly(f, basis, order):
 
 
 def ideal_contains(f, gens, order):
-    basis = std_ideal(gens, order)
-    if not basis:
+    key = tuple(g for g in gens if not g.is_zero)
+    if not key:
         return f.is_zero
-    return reduce_poly(f, basis, order).is_zero
+    return _remainder(Vec([f]), _std_cached(key, order),
+                      _ideal_mo(order)).is_zero
 
 
 def ideal_equal(gens1, gens2, order):
@@ -641,39 +624,6 @@ def is_unit_ideal(gens, order):
         return False
     one = Poly.const(gens[0].n, 1)
     return ideal_contains(one, gens, order)
-
-
-class Ideal:
-    """An ideal of Q[x] carried with its monomial order.  Interpreted in the
-    localization at the origin whenever the order is local."""
-
-    __slots__ = ("gens", "order")
-
-    def __init__(self, gens, order):
-        self.gens = tuple(g for g in gens if not g.is_zero)
-        self.order = order
-
-    @property
-    def n(self):
-        return self.order.n
-
-    def std(self):
-        return std_ideal(self.gens, self.order)
-
-    def normal_form(self, f):
-        return reduce_poly(f, self.std(), self.order)
-
-    def contains(self, f):
-        return ideal_contains(f, self.gens, self.order)
-
-    def equals(self, other):
-        return ideal_equal(self.gens, other.gens, self.order)
-
-    def is_unit(self):
-        return is_unit_ideal(self.gens, self.order)
-
-    def __repr__(self):
-        return f"Ideal({len(self.gens)} gens, {self.order.kind})"
 
 
 # ---------------------------------------------------------------------------
@@ -940,14 +890,14 @@ def _squarefree_univariate(f, i):
     return sf
 
 
-def _member_local(f, gens, order_local):
-    return ideal_contains(f, tuple(gens), order_local)
+# the highest power of a radical witness candidate tried before giving up
+_WITNESS_POWER_CAP = 200
 
 
-def _power_in_local(g, gens, order_local, cap=200):
+def _power_in_local(g, gens, order_local):
     p = g
-    for k in range(1, cap + 1):
-        if _member_local(p, gens, order_local):
+    for k in range(1, _WITNESS_POWER_CAP + 1):
+        if ideal_contains(p, gens, order_local):
             return k
         p = p * g
     raise EngineError("no power of the candidate witness entered the ideal")
@@ -982,7 +932,7 @@ def radical_test(gens, n, seed=0):
             sqfs.append(_squarefree_univariate(f, i))
         radical_gens = list(gb) + sqfs
         for g in std_ideal(tuple(radical_gens), global_order):
-            if not _member_local(g, gens, local_order):
+            if not ideal_contains(g, gens, local_order):
                 k = _power_in_local(g, gens, local_order)
                 return RadicalVerdict("not_radical", witness=(g, k),
                                       method="zero-dimensional")
@@ -994,7 +944,7 @@ def radical_test(gens, n, seed=0):
             e = next(iter(p.terms))
             if any(k > 1 for k in e):
                 root = Poly.monomial(n, tuple(min(k, 1) for k in e))
-                if not _member_local(root, gens, local_order):
+                if not ideal_contains(root, gens, local_order):
                     k = _power_in_local(root, gens, local_order)
                     return RadicalVerdict("not_radical", witness=(root, k),
                                           method="monomial")
@@ -1010,12 +960,12 @@ def radical_test(gens, n, seed=0):
         if not lin.is_zero:
             candidates.append(lin)
     for g in candidates:
-        if _member_local(g, gens, local_order):
+        if ideal_contains(g, gens, local_order):
             continue
         p = g
         for k in range(2, 13):
             p = p * g
-            if _member_local(p, gens, local_order):
+            if ideal_contains(p, gens, local_order):
                 return RadicalVerdict("not_radical", witness=(g, k),
                                       method="witness search", seed=seed)
     return RadicalVerdict("undecided", method="witness search exhausted",

@@ -18,7 +18,8 @@ componentwise idempotents.
 
 Rational Newton-Puiseux expansion is provided for plane curves whose
 expansions stay inside Q; anything needing an algebraic coefficient
-extension is reported as unsupported and branches must be supplied.
+extension is reported as unsupported: there is then no branch
+normalization unless branches are supplied.
 """
 
 from __future__ import annotations
@@ -244,7 +245,6 @@ def _newton_edges(p):
     terms, meaning y ~ c x^(m/q) along the edge."""
     pts = set(_support(p))
     b = min(j for i, j in pts if i == 0)
-    a = min(i for i, j in pts if j == 0)
     edges = []
     cur = (0, b)
     while cur[1] > 0:
@@ -462,7 +462,7 @@ def _curve_setup(D):
 def puiseux_rational(D, precision=48):
     """Branch parametrizations of a plane-curve germ (or of the curve factor
     of a suspension) when all Newton-Puiseux root extractions stay rational;
-    None otherwise ('unsupported': the caller must supply branches)."""
+    None otherwise ('unsupported': branches must be supplied instead)."""
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("not a plane-curve germ or suspension of one")
@@ -558,7 +558,8 @@ def conductor_bound(D):
 def normalization_from_branches(D, branches=None, precision=None, seed=0):
     """Assemble NormalizationData for a plane-curve germ or suspension.
     User-supplied branches always win over the internal expansion; both paths
-    run the same certification."""
+    run the same certification.  Without supplied branches, a germ whose
+    rational expansion is unsupported gets None."""
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("germ outside the supported class "
@@ -575,9 +576,7 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
         prec0 = precision or (2 * cb + 16)
         branches = puiseux_rational(D, precision=prec0)
         if branches is None:
-            raise InputError(
-                "rational puiseux expansion unsupported for this germ; "
-                "supply branches explicitly")
+            return None
         ell_full, ell_vals = _denominator_form(D, cvars, branches)
         need = required_precision(ell_vals)
         if prec0 < need:
@@ -742,7 +741,11 @@ def conductor(nd):
 # branch files
 
 
-def branches_from_json(text, D, default_trunc=48):
+# the truncation of a branch file entry that states none
+DEFAULT_BRANCH_TRUNCATION = 48
+
+
+def branches_from_json(text, D):
     """Branch list from the JSON format
     [{"param": {"x": [[3, "1"]], "y": [[2, "1"]]}, "truncation": 16}, ...]."""
     data = json.loads(text)
@@ -754,7 +757,7 @@ def branches_from_json(text, D, default_trunc=48):
         param = entry.get("param")
         if not isinstance(param, dict):
             raise InputError("branch entry without a param table")
-        trunc = int(entry.get("truncation", default_trunc))
+        trunc = int(entry.get("truncation", DEFAULT_BRANCH_TRUNCATION))
         series = {}
         for nm, pairs in param.items():
             if nm not in name_to_idx:

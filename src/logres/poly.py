@@ -19,8 +19,8 @@ and a primitive-PRS multivariate gcd, which backs the squarefree test.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as int_gcd
+from operator import neg
 
 from .errors import ParseError
 
@@ -254,8 +254,8 @@ class Poly:
 
 
 class Order:
-    """Monomial order on exponent vectors, given by a sort key: the larger
-    key wins.  Kinds:
+    """Monomial order on exponent vectors, given by the sort key `heap_key`:
+    the least key wins, so the leading monomial has the least key.  Kinds:
 
       degrevlex -- global, degree then reverse lexicographic
       lex       -- global lexicographic
@@ -266,7 +266,7 @@ class Order:
     An optional permutation reorders variables before comparison.
     """
 
-    __slots__ = ("kind", "n", "blocks", "perm", "_memo")
+    __slots__ = ("kind", "n", "blocks", "perm")
 
     def __init__(self, kind, n, blocks=None, perm=None):
         if kind not in ("degrevlex", "lex", "ds", "block"):
@@ -275,77 +275,44 @@ class Order:
         self.n = n
         self.blocks = tuple(blocks) if blocks else None
         self.perm = tuple(perm) if perm else None
-        self._memo = {}
         if kind == "block":
             if not self.blocks or sum(self.blocks) != n:
                 raise ValueError("block sizes must partition the variables")
-
-    @staticmethod
-    def cached(kind, n):
-        return _order_cache(kind, n)
 
     @property
     def is_global(self):
         return self.kind != "ds"
 
-    @property
-    def is_local(self):
-        return self.kind == "ds"
-
-    def key(self, e):
-        memo = self._memo
-        got = memo.get(e)
-        if got is not None:
-            return got
-        ep = tuple(e[i] for i in self.perm) if self.perm else e
-        k = self.kind
-        if k == "degrevlex":
-            out = (exp_deg(ep), tuple(-x for x in reversed(ep)))
-        elif k == "lex":
-            out = ep
-        elif k == "ds":
-            out = (-exp_deg(ep), tuple(-x for x in reversed(ep)))
-        else:
-            parts = []
-            pos = 0
-            for size in self.blocks:
-                blk = ep[pos:pos + size]
-                parts.append((exp_deg(blk), tuple(-x for x in reversed(blk))))
-                pos += size
-            out = tuple(parts)
-        memo[e] = out
-        return out
-
     def heap_key(self, e):
-        """key(e) flattened with every entry negated: a flat tuple that sorts
-        ascending exactly where key sorts descending.  Division pushes one
-        per new term of its dividend; building it costs little next to the
-        term's Fraction arithmetic, and a memo would hold every exponent the
-        process has reduced."""
-        ep = tuple(e[i] for i in self.perm) if self.perm else e
+        """A flat tuple of ints that sorts ascending from the largest monomial
+        to the smallest.  Division pushes one per new term of its dividend;
+        building it costs little next to the term's Fraction arithmetic, and
+        a memo would hold every exponent the process has reduced."""
+        if self.perm:
+            e = tuple(e[i] for i in self.perm)
         k = self.kind
         if k == "degrevlex":
-            return (-exp_deg(ep),) + ep[::-1]
+            return (-sum(e),) + e[::-1]
         if k == "lex":
-            return tuple(-x for x in ep)
+            return tuple(map(neg, e))
         if k == "ds":
-            return (exp_deg(ep),) + ep[::-1]
+            return (sum(e),) + e[::-1]
         out = ()
         pos = 0
         for size in self.blocks:
-            blk = ep[pos:pos + size]
-            out += (-exp_deg(blk),) + blk[::-1]
+            blk = e[pos:pos + size]
+            out += (-sum(blk),) + blk[::-1]
             pos += size
         return out
 
     def leading_exp(self, p):
         if p.is_zero:
             return None
-        return max(p.terms, key=self.key)
+        return min(p.terms, key=self.heap_key)
 
     def sorted_terms(self, p):
         """Terms of p as (exp, coeff) pairs, largest monomial first."""
-        return sorted(p.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
+        return sorted(p.terms.items(), key=lambda t: self.heap_key(t[0]))
 
     def __eq__(self, other):
         return (isinstance(other, Order) and self.kind == other.kind
@@ -358,11 +325,6 @@ class Order:
     def __repr__(self):
         extra = f", blocks={self.blocks}" if self.blocks else ""
         return f"Order({self.kind!r}, {self.n}{extra})"
-
-
-@lru_cache(maxsize=None)
-def _order_cache(kind, n):
-    return Order(kind, n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +434,7 @@ def poly_str(p, names, order=None):
     """Deterministic textual form, parseable by `parse`."""
     if p.is_zero:
         return "0"
-    order = order or Order.cached("degrevlex", p.n)
+    order = order or Order("degrevlex", p.n)
     parts = []
     for e, c in order.sorted_terms(p):
         factors = []
@@ -506,7 +468,7 @@ def exact_div(p, q):
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
         return Poly.zero(p.n)
-    order = Order.cached("degrevlex", p.n)
+    order = Order("degrevlex", p.n)
     lq = order.leading_exp(q)
     cq = q.terms[lq]
     quot = {}
@@ -538,7 +500,7 @@ def _normalize_primitive(p):
         return p
     c = _content_int(p)
     p = p.scale(1 / c)
-    lead = max(p.terms, key=Order.cached("lex", p.n).key)
+    lead = min(p.terms, key=Order("lex", p.n).heap_key)
     if p.terms[lead] < 0:
         p = -p
     return p

@@ -44,10 +44,6 @@ class MeroFraction:
         """xi/g = xi'/g'  iff  xi*g' - xi'*g in <h> locally."""
         return self.germ.in_h(self.num * other.den - other.num * self.den)
 
-    def is_in_ring(self):
-        """Membership in O_D itself."""
-        return self.germ.member_mod_h(self.num, [self.den])
-
     def restrict(self, factor):
         """Reduction of numerator and denominator modulo a component {factor=0};
         guarded against denominators vanishing on the component."""
@@ -86,7 +82,7 @@ class ResidueCertificate:
         return True
 
 
-def residue_certificates(omega, D, count=1, budget=RESIDUE_TRIAL_BUDGET):
+def residue_certificates(omega, D, count=1):
     """Up to `count` distinct residue certificates for a logarithmic form.
     Candidate g's are drawn from the quotient of the module spanned by grad h
     and h*O_S^n by the coefficient vector, then certified nonzerodivisors."""
@@ -136,7 +132,7 @@ def residue_certificates(omega, D, count=1, budget=RESIDUE_TRIAL_BUDGET):
             found.append(cert)
             if len(found) >= count:
                 return found
-        if trials >= budget:
+        if trials >= RESIDUE_TRIAL_BUDGET:
             break
     if found:
         return found

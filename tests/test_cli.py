@@ -56,6 +56,25 @@ def test_analyze_branches_file(tmp_path, capsys):
     assert data["input"]["branches"] == "supplied"
 
 
+def test_analyze_non_rational_curve_exit_0(capsys):
+    code = main(["analyze", "--vars", "x,y", "--poly", "x^2+y^2",
+                 "--format", "json"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "undecided" not in data["verdicts"].values()
+
+
+def test_analyze_branches_file_not_on_curve_exit_2(tmp_path, capsys):
+    # x = t^3, y = t gives x^2 - y^3 = t^6 - t^3, not zero
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        [{"param": {"x": [[3, "1"]], "y": [[1, "1"]]}, "truncation": 64}]))
+    code = main(["analyze", "--vars", "x,y", "--poly", "x^2 - y^3",
+                 "--branches", str(path)])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_corpus_filter_no_match_exit_2(capsys):
     assert main(["corpus", "--only", "nonexistent"]) == 2
     err = capsys.readouterr().err

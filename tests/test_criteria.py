@@ -168,6 +168,27 @@ def test_analyze_cubic_cone_is_not_free_but_has_cyclic_residues():
     assert "cyclic_residues_iff_smooth" not in r.consistency
 
 
+def test_analyze_non_rational_node_degrades_to_other_routes():
+    # x^2+y^2 has branches only over Q(i): no branch normalization, yet every
+    # condition is decided (C by integrality, G by dual(R_D))
+    r = analyze_text(["x", "y"], "x^2+y^2")
+    assert r.verdicts == {
+        "free": "true", "euler_homogeneous": "true",
+        "jacobian_radical": "true", "jacobian_eq_conductor": "true",
+        "residues_weakly_holomorphic": "true",
+        "normal_crossing_at_origin": "true",
+        "gorenstein_singular_locus": "gorenstein"}
+    assert "unsupported" in r["witnesses"]["normalization"]
+    assert r["input"]["branches"] is None
+
+
+def test_analyze_non_rational_quartic_leaves_C_and_G_undecided():
+    r = analyze_text(["x", "y"], "x^4+y^4")
+    undecided = {k for k, v in r.verdicts.items() if v == "undecided"}
+    assert undecided == {"residues_weakly_holomorphic", "jacobian_eq_conductor"}
+    assert "normalization" in r["witnesses"]
+
+
 def test_report_roundtrip_and_determinism():
     r1 = analyze_text(["x", "y"], "x^2 - y^3")
     r2 = analyze_text(["x", "y"], "x^2 - y^3")

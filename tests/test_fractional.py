@@ -140,9 +140,11 @@ def _corpus_weak_ring(D, entry):
     from logres.normalization import (normalization_from_branches,
                                       normalization_from_smooth_factors)
     try:
-        return normalization_from_branches(D)
+        nd = normalization_from_branches(D)
     except InputError:
-        pass
+        nd = None
+    if nd is not None:
+        return nd
     if entry["factors"]:
         try:
             return normalization_from_smooth_factors(

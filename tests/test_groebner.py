@@ -9,7 +9,7 @@ from logres.groebner import (Vec, ModOrder, standard_basis, normal_form,
                              radical_test, min_generators_local, std_ideal,
                              ideal_contains, ideal_equal, local_colength,
                              local_dim, kernel_basis, _row_echelon,
-                             divide_vec, mora_nf, _Reducer)
+                             divide_vec, mora_nf, _Elem)
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -86,6 +86,20 @@ def test_mora_certificate_remultiplies():
         recombined = recombined + q * g
     assert recombined == unit * f
     assert unit.constant_term() != 0
+
+
+def test_division_certificate_skips_zero_generator():
+    f = P("x + x*y^2")
+    for order in (GLOBAL2, LOCAL2):
+        basis = [Poly.zero(2), P("x"), P("y^3 - x*y")]
+        quots, unit, rem = division_certificate(f, basis, ModOrder(order))
+        assert len(quots) == 3 and quots[0].is_zero
+        recombined = rem.polys[0]
+        for q, g in zip(quots, basis):
+            recombined = recombined + q * g
+        assert recombined == unit * f
+        assert unit.constant_term() != 0
+        assert rem.is_zero
 
 
 def test_ideal_quotients():
@@ -451,7 +465,7 @@ def _random_division(rng, mo, n, r):
             f = f + g.mul_poly(_random_poly(rng, n, deg - 1, rng.randint(1, 3)))
     if rng.random() < 0.6:
         f = f + _random_vec(rng, n, r, deg, size)
-    return f, [_Reducer(g, mo) for g in gens]
+    return f, [_Elem(g, mo) for g in gens]
 
 
 def _division_orders():

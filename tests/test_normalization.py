@@ -69,6 +69,11 @@ def test_puiseux_unsupported_over_q():
     assert puiseux_rational(D, precision=10) is None
 
 
+def test_normalization_from_branches_none_without_rational_branches():
+    D = DivisorGerm(["x", "y"], "x^2 - 2*y^2")
+    assert normalization_from_branches(D) is None
+
+
 def test_puiseux_tangential_pair():
     D = DivisorGerm(["x", "y"], "x*(x+y^2)")
     branches = puiseux_rational(D, precision=12)

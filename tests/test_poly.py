@@ -168,15 +168,45 @@ def test_exact_div():
     assert exact_div(parse("x^2+y", V2), parse("x", V2)) is None
 
 
+def _reference_key(order, e):
+    """The nested-tuple order key the engine used before heap_key became its
+    only key: the larger key is the larger monomial."""
+    ep = tuple(e[i] for i in order.perm) if order.perm else e
+    if order.kind == "degrevlex":
+        return (sum(ep), tuple(-x for x in reversed(ep)))
+    if order.kind == "lex":
+        return ep
+    if order.kind == "ds":
+        return (-sum(ep), tuple(-x for x in reversed(ep)))
+    parts = []
+    pos = 0
+    for size in order.blocks:
+        blk = ep[pos:pos + size]
+        parts.append((sum(blk), tuple(-x for x in reversed(blk))))
+        pos += size
+    return tuple(parts)
+
+
+def _reference_mod_key(mo, c, e):
+    """The nested-tuple key of a module monomial, after _reference_key."""
+    rk = _reference_key(mo.ring, e)
+    if mo.rule == "TOP":
+        return (rk, -c)
+    if mo.rule == "POT":
+        return (-c, rk)
+    return (1 if c < mo.elim else 0, rk, -c)
+
+
 def test_orders():
+    # heap_key: the larger monomial has the smaller key
     dp = Order("degrevlex", 3)
     # degree dominates
-    assert dp.key((2, 0, 0)) > dp.key((1, 1, 0)) or (2, 0, 0) == (1, 1, 0)
-    assert dp.key((3, 0, 0)) > dp.key((1, 1, 0))
+    assert dp.heap_key((2, 0, 0)) < dp.heap_key((1, 1, 0))
+    assert dp.heap_key((3, 0, 0)) < dp.heap_key((1, 1, 0))
     # local order: 1 beats everything
     ds = Order("ds", 2)
-    assert ds.key((0, 0)) > ds.key((1, 0))
-    assert ds.key((1, 0)) > ds.key((0, 2))
+    assert ds.heap_key((0, 0)) < ds.heap_key((1, 0))
+    assert ds.heap_key((1, 0)) < ds.heap_key((0, 2))
     # multiplicativity spot check: u < v implies u*w < v*w
     rng = random.Random(11)
     for order in (dp, Order("ds", 3), Order("lex", 3),
@@ -185,10 +215,10 @@ def test_orders():
             u = tuple(rng.randint(0, 3) for _ in range(3))
             v = tuple(rng.randint(0, 3) for _ in range(3))
             w = tuple(rng.randint(0, 2) for _ in range(3))
-            if order.key(u) < order.key(v):
+            if order.heap_key(u) > order.heap_key(v):
                 uw = tuple(a + b for a, b in zip(u, w))
                 vw = tuple(a + b for a, b in zip(v, w))
-                assert order.key(uw) < order.key(vw)
+                assert order.heap_key(uw) > order.heap_key(vw)
 
 
 def test_heap_key_reverses_key():
@@ -200,8 +230,30 @@ def test_heap_key_reverses_key():
             order = Order(kind, 4, blocks=blocks, perm=p)
             exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)}
             assert (sorted(exps, key=order.heap_key)
-                    == sorted(exps, key=order.key, reverse=True))
+                    == sorted(exps, key=lambda e: _reference_key(order, e),
+                              reverse=True))
             assert all(type(x) is int for e in exps for x in order.heap_key(e))
+
+
+def test_module_heap_key_reverses_key():
+    from logres.groebner import ModOrder, Vec
+    rng = random.Random(13)
+    for ring in (Order("degrevlex", 3), Order("ds", 3),
+                 Order("lex", 3, perm=(2, 0, 1)),
+                 Order("block", 3, blocks=(1, 2), perm=(1, 2, 0))):
+        for r in (1, 2, 3):
+            for mo in (ModOrder(ring, "TOP"), ModOrder(ring, "POT"),
+                       ModOrder(ring, "ELIM", elim=r - 1)):
+                mons = {(rng.randrange(r),
+                         tuple(rng.randint(0, 3) for _ in range(3)))
+                        for _ in range(60)}
+                assert (sorted(mons, key=lambda m: mo.heap_key(*m))
+                        == sorted(mons, key=lambda m: _reference_mod_key(mo, *m),
+                                  reverse=True))
+                v = Vec([Poly(3, {e: 1 for c, e in mons if c == k})
+                         for k in range(r)])
+                assert mo.lead(v) == max(
+                    mons, key=lambda m: _reference_mod_key(mo, *m))
 
 
 def test_global_vs_local_unit_detection():

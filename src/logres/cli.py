@@ -39,10 +39,10 @@ def _build_parser():
                    help="path to a JSON file with branch parametrizations")
     a.add_argument("--format", choices=("text", "json"), default="text")
     a.add_argument("--precision", type=int, default=None,
-                   help="truncation override for branch computations")
+                   help="truncation override for branch computations, >= 1")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings in the report "
+                   help="include the elapsed time in the report "
                         "(breaks byte-for-byte reproducibility)")
 
     c = sub.add_parser("corpus", help="run the bundled example corpus")

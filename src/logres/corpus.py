@@ -190,9 +190,7 @@ def run_corpus(only=None, seed=0, expected_overrides=None, report_sink=None):
                 failures.append(f"{entry['name']}: {key} = {got}, expected {want}")
         extras = report.data["extras"]
         for key, want in expected_extras.items():
-            got = extras.get("direct_sum") if key == "direct_sum" else extras.get(key)
-            if key == "mu_residues":
-                got = extras["mu_residues"]
+            got = extras.get(key)
             if got != want:
                 failures.append(f"{entry['name']}: {key} = {got}, expected {want}")
         if failures:

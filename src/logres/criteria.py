@@ -11,6 +11,7 @@ not the mathematics).
 from __future__ import annotations
 
 import json
+import time
 
 from .errors import InputError, ConsistencyError
 from .poly import Poly, poly_str, parse
@@ -18,8 +19,8 @@ from .groebner import radical_test, local_dim, _row_echelon
 from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
 from .fractional import FractionalIdeal
 from .residues import (MeroFraction, residue_module, mu_residues,
-                       gorenstein_singular_locus, direct_sum_check,
-                       validate_factorization)
+                       gorenstein_rule, gorenstein_singular_locus,
+                       direct_sum_check, validate_factorization)
 from .normalization import (normalization_from_branches,
                             normalization_from_smooth_factors,
                             is_weakly_holomorphic, _curve_setup)
@@ -98,7 +99,7 @@ def check_condition_C(D, nd, seed=0):
     """Residues weakly holomorphic (R_D = O~).  Decidable through
     normalization data or, failing that, through explicit integral equations
     for the residue generators.  Returns (verdict, witness_text)."""
-    R = residue_module(D, crosscheck=False, seed=seed)
+    R = residue_module(D, seed=seed)
     if nd is not None:
         if nd.source == "branches":
             for p in R.num:
@@ -140,8 +141,7 @@ def check_condition_G(D, nd, c_verdict=None, seed=0):
     if nd is not None:
         cond = nd.conductor_gens
     elif c_verdict == TRUE:
-        R = residue_module(D, crosscheck=False, seed=seed)
-        cond = R.dual(seed=seed).as_ideal_gens()
+        cond = residue_module(D, seed=seed).dual().as_ideal_gens()
     else:
         return UNDECIDED, "no conductor available"
     if D.ideal_equal_mod_h(J, cond):
@@ -311,8 +311,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             want_timings=False):
     """Run every decision procedure on the germ, verify the proven
     equivalences, and assemble the report."""
-    import time
-    t_start = time.time()
+    if precision is not None and precision < 1:
+        raise InputError(f"precision must be at least 1, got {precision}")
+    t_start = time.perf_counter()
     witnesses = {}
     consistency = []
     extras = {}
@@ -356,11 +357,11 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if nd is None:
         nd = nd_factors
 
-    R = residue_module(D, crosscheck=free, seed=seed)
+    R = residue_module(D, seed=seed)
     mu, has_unit = mu_residues(D, seed=seed)
     extras["mu_residues"] = mu
     extras["contains_unit"] = has_unit
-    gor = gorenstein_singular_locus(D, seed=seed)
+    gor = gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
     c_verdict, c_why = check_condition_C(D, nd, seed=seed)
     witnesses["condition_C"] = c_why
@@ -382,11 +383,11 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             f_verdict, nc_why = _tri(curve_nc), "curve criterion at the origin"
     witnesses["normal_crossing"] = nc_why
 
-    b_verdict, b_why = check_condition_B(D, factors)
+    b_verdict, _ = check_condition_B(D, factors)
 
     ds_verdict = None
     if factors:
-        ds_ok, _idem = direct_sum_check(D, factors, seed=seed)
+        ds_ok, _ = direct_sum_check(D, factors, seed=seed)
         ds_verdict = _tri(ds_ok)
         extras["direct_sum"] = ds_verdict
 
@@ -407,7 +408,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     # --- proven equivalences, re-verified on every run --------------------
     J = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed)
     if free:
-        if not R.dual(seed=seed).equals(J):
+        if not R.dual().equals(J):
             raise ConsistencyError("free divisor with dual(R_D) != J_D")
         consistency.append("jacobian_is_residue_dual")
         # R_D is dual(J_D) on the same generators: dual(R_D) is the double dual
@@ -457,7 +458,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         "normal_crossing_at_origin": f_verdict,
         "gorenstein_singular_locus": gor,
     }
-    elapsed_ms = int((time.time() - t_start) * 1000)
+    elapsed_ms = int((time.perf_counter() - t_start) * 1000)
     report = DivisorReport({
         "schema": 1,
         "input": {
@@ -485,7 +486,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
 
 def _verify_chain(D, J, R, nd, seed=0):
     """J_D in dual(R_D) in C_D in O_D in O~ in R_D, every inclusion checked."""
-    Rdual = R.dual(seed=seed)
+    Rdual = R.dual()
     C = FractionalIdeal(D, nd.conductor_gens, 1, seed=seed)
     O = FractionalIdeal.ring(D)
     chain = [("J_D", J), ("dual(R_D)", Rdual), ("C_D", C), ("O_D", O),

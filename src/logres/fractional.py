@@ -102,11 +102,12 @@ class FractionalIdeal:
     """Finitely generated O_D-submodule of the total quotient ring containing
     a nonzerodivisor, in common-denominator form num/den."""
 
-    __slots__ = ("germ", "num", "den", "_nzd_num", "_dual")
+    __slots__ = ("germ", "num", "den", "seed", "_nzd_num", "_dual")
 
     def __init__(self, germ, num_gens, den, seed=0):
         self._dual = None
         self.germ = germ
+        self.seed = seed
         den = den if isinstance(den, Poly) else Poly.const(germ.n, den)
         w = nzd_witness(germ, den)
         if w is not None:
@@ -195,9 +196,9 @@ class FractionalIdeal:
         nums = [a * b for a in self.num for b in other.num]
         return FractionalIdeal(D, nums, self.den * other.den)
 
-    def dual(self, seed=0):
+    def dual(self):
         """I^dual = {f : f*I in O_D} = den * (<c> : num) / c for a certified
-        nonzerodivisor c in the numerator ideal."""
+        nonzerodivisor c in the numerator ideal, built with self.seed."""
         if self._dual is not None:
             return self._dual
         D = self.germ
@@ -205,7 +206,7 @@ class FractionalIdeal:
         Q = ideal_quotient([c, D.h], list(self.num), D.global_order)
         if not Q:
             raise EngineError("empty dual quotient")
-        out = FractionalIdeal(D, [self.den * q for q in Q], c, seed=seed)
+        out = FractionalIdeal(D, [self.den * q for q in Q], c, seed=self.seed)
         # certification: I * I^dual inside O_D
         if not FractionalIdeal.ring(D).includes_product(self, out):
             raise EngineError("dual certificate failed: I * I^dual not in O_D")
@@ -224,7 +225,7 @@ class FractionalIdeal:
         basis = [v.polys[0] for v in basis]
         out = []
         for p in self.num:
-            quots, unit, rem = division_certificate(p, basis, ModOrder(D.local_order))
+            quots, _, rem = division_certificate(p, basis, ModOrder(D.local_order))
             if not rem.is_zero:
                 raise InputError("fractional ideal is not contained in O_D")
             # p = (sum_j quots_j (T_j0 den + T_j1 h)) / unit, so mod h the

@@ -268,7 +268,7 @@ def _newton_edges(p):
     return edges
 
 
-def _edge_char(p, q, m, pts):
+def _edge_char(p, q, pts):
     """psi(w): the edge polynomial in w = z^q where y = z x^(m/q)."""
     jmin = min(j for _, j in pts)
     psi = {}
@@ -296,7 +296,7 @@ def _rational_roots(poly_dict):
     for c in coeffs:
         den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
     ints = [int(c * den_lcm) for c in coeffs]
-    while ints and ints[0] == 0:
+    if ints[0] == 0:
         raise EngineError("edge polynomial with zero constant term")
 
     def divisors(k):
@@ -417,7 +417,7 @@ def _expand(h2, prec, depth, edge_filter=None):
     for q, m, pts in _newton_edges(h2):
         if edge_filter is not None and (q, m) != edge_filter:
             continue
-        psi = _edge_char(h2, q, m, pts)
+        psi = _edge_char(h2, q, pts)
         roots, undecided = _rational_roots(psi)
         if undecided:
             raise Unsupported
@@ -476,7 +476,7 @@ def puiseux_rational(D, precision=48):
             h2 = _divide_var(h2, 1)
             branches.append(BranchParam({cvars[0]: {1: 1}, cvars[1]: {}}, precision))
         if not h2.is_constant():
-            for q, m, pts in _newton_edges(h2):
+            for q, m, _ in _newton_edges(h2):
                 # each top-level edge in whichever orientation stays rational
                 try:
                     subs = _expand(h2, precision, 0, edge_filter=(q, m))
@@ -547,7 +547,7 @@ def conductor_bound(D):
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("not a curve germ or suspension")
-    cvars, h2 = setup
+    _, h2 = setup
     mu = local_colength([h2.diff(0), h2.diff(1)], 2)
     if mu is None:
         raise EngineError("curve factor has non-isolated singularity")
@@ -683,7 +683,7 @@ def _certify_weak_ring(D, weak):
 
 
 def _conductor_from_weak(D, weak, seed=0):
-    dual = weak.dual(seed=seed)
+    dual = weak.dual()
     gens = dual.as_ideal_gens()
     cfrac = FractionalIdeal(D, gens, 1, seed=seed)
     if not cfrac.includes_product(cfrac, weak):

@@ -9,7 +9,7 @@ with g a nonzerodivisor mod h; well-definedness means any two certificates
 agree mod h.  Certificates come out of one syzygy computation for the row
 (a | grad h | h*e_1 | ... | h*e_n).  The residue module R_D is computed as
 the fractional-ideal dual of the Jacobian ideal; for free divisors it is
-cross-checked against the residues of a dual basis of logarithmic forms.
+certified against the residues of a dual basis of logarithmic forms.
 """
 
 from __future__ import annotations
@@ -156,28 +156,23 @@ def residue(omega, D):
 _RESIDUE_MODULE_CACHE = {}
 
 
-def residue_module(D, crosscheck=True, seed=0):
+def residue_module(D, seed=0):
     """R_D as a fractional ideal: the dual of the Jacobian ideal.  When D is
     free the residues of a dual basis of logarithmic forms are certified to
-    generate the same fractional ideal."""
+    generate the same fractional ideal before R_D is cached."""
     key = (D.h, D.names, seed)
-    cached = _RESIDUE_MODULE_CACHE.get(key)
-    if cached is not None:
-        R, checked = cached
-        if checked or not crosscheck:
-            return R
-    J = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed)
-    R = J.dual(seed=seed)
-    if crosscheck:
-        free, M = is_free(D)
-        if free:
-            forms = log_forms_basis(M)
-            fracs = [residue(w, D) for w in forms]
-            gen = FractionalIdeal.make([(f.num, f.den) for f in fracs], D, seed=seed)
-            if not gen.equals(R):
-                raise EngineError(
-                    "residues of the dual basis do not generate dual(J_D)")
-    _RESIDUE_MODULE_CACHE[key] = (R, crosscheck)
+    R = _RESIDUE_MODULE_CACHE.get(key)
+    if R is not None:
+        return R
+    R = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed).dual()
+    free, M = is_free(D)
+    if free:
+        fracs = [residue(w, D) for w in log_forms_basis(M)]
+        gen = FractionalIdeal.make([(f.num, f.den) for f in fracs], D, seed=seed)
+        if not gen.equals(R):
+            raise EngineError(
+                "residues of the dual basis do not generate dual(J_D)")
+    _RESIDUE_MODULE_CACHE[key] = R
     return R
 
 
@@ -198,7 +193,7 @@ def sigma_check(delta, omega, D):
 def mu_residues(D, seed=0):
     """Minimal local generator count of R_D as an O_D-module and whether 1
     can be part of a minimal generating set (1 not in m*R_D)."""
-    R = residue_module(D, crosscheck=False, seed=seed)
+    R = residue_module(D, seed=seed)
     mu, _ = min_generators_local([Vec([p]) for p in R.num], extra=[Vec([D.h])])
     if not R.contains_fraction(Poly.const(D.n, 1), Poly.const(D.n, 1)):
         raise EngineError("R_D does not contain 1")
@@ -208,17 +203,22 @@ def mu_residues(D, seed=0):
     return mu, contains_unit
 
 
-def gorenstein_singular_locus(D, seed=0):
-    """empty / gorenstein / not_gorenstein / undecided, via the generator
-    count of R_D (valid for free divisors; the singular locus of a free
-    divisor is Gorenstein iff R_D is generated by 1 and one more element)."""
-    if D.is_smooth:
+def gorenstein_rule(smooth, free, mu, contains_unit):
+    """empty / gorenstein / not_gorenstein / undecided from the facts of one
+    analysis.  The rule needs freeness: the singular locus of a free divisor
+    is Gorenstein iff R_D is generated by 1 and one more element."""
+    if smooth:
         return "empty"
-    free, _ = is_free(D)
     if not free:
         return "undecided"
-    mu, has_unit = mu_residues(D, seed=seed)
-    return "gorenstein" if (mu == 2 and has_unit) else "not_gorenstein"
+    return "gorenstein" if (mu == 2 and contains_unit) else "not_gorenstein"
+
+
+def gorenstein_singular_locus(D, seed=0):
+    """The Gorenstein verdict of gorenstein_rule, computing its facts."""
+    free, _ = is_free(D)
+    mu, has_unit = mu_residues(D, seed=seed) if free else (None, None)
+    return gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
 
 def validate_factorization(D, factors, require_coprime=True):
@@ -298,5 +298,5 @@ def direct_sum_check(D, factors, seed=0):
     realized by the idempotent fractions.  Returns (verdict, IdempotentData)."""
     idem = IdempotentData(D, factors)
     T = idem.module(seed=seed)
-    R = residue_module(D, crosscheck=False, seed=seed)
+    R = residue_module(D, seed=seed)
     return T.equals(R), idem

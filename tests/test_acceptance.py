@@ -208,7 +208,7 @@ def test_criterion_7_equivalence_suites():
         D, factors = _corpus_germ(entry)
         free, M = is_free(D)
         J = FractionalIdeal(D, jacobian_ideal(D), 1)
-        R = residue_module(D, crosscheck=False)
+        R = residue_module(D)
         O = FractionalIdeal.ring(D)
 
         # normalization data, possibly derived from a certified (C)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from logres import criteria, residues
 from logres.errors import InputError
 from logres.germs import DivisorGerm
 from logres.normalization import normalization_from_branches
@@ -202,6 +203,37 @@ def test_report_roundtrip_and_determinism():
 def test_analyze_rejects_invalid_germ():
     with pytest.raises(InputError):
         analyze_text(["x"], "x^2")
+
+
+@pytest.mark.parametrize("precision", [0, -3])
+def test_analyze_rejects_precision_below_one(precision):
+    with pytest.raises(InputError, match="precision"):
+        analyze_text(["x", "y"], "x^2 - y^3", precision=precision)
+
+
+def test_analyze_computes_freeness_and_mu_once(monkeypatch):
+    # each binding a caller looks up is wrapped, so every call is counted
+    calls = {"is_free": 0, "mu_residues": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for mod in (criteria, residues):
+        for name in calls:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
+    first = analyze_text(["x", "y"], "x^2 - y^3")
+    # analyze, then the certification of the first R_D
+    assert calls["is_free"] <= 2
+    assert calls["mu_residues"] == 1
+    calls.update(is_free=0, mu_residues=0)
+    second = analyze_text(["x", "y"], "x^2 - y^3")
+    assert calls == {"is_free": 1, "mu_residues": 1}
+    assert first == second
+    assert first.verdicts["gorenstein_singular_locus"] == "gorenstein"
 
 
 # sha256 of the default JSON report; a speedup must keep these bytes

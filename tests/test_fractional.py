@@ -76,6 +76,17 @@ def test_dual_cusp_jacobian():
     assert R.equals(expected)
 
 
+def test_dual_uses_the_construction_seed():
+    C = cusp()
+    for seed in (0, 1):
+        J = FractionalIdeal(C, jacobian_ideal(C), 1, seed=seed)
+        R = J.dual()
+        assert J.dual() is R
+        assert (J.seed, R.seed, R.dual().seed) == (seed, seed, seed)
+    with pytest.raises(TypeError):
+        J.dual(seed=0)
+
+
 def test_includes_and_equals():
     D = node()
     J = FractionalIdeal(D, jacobian_ideal(D), 1)

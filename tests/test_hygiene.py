@@ -1,0 +1,97 @@
+"""Source hygiene: no function of the package keeps a parameter or a local
+that is assigned and never read.
+
+The scan is per function scope.  A name counts as stored when it is a
+parameter or a binding target inside the function (nested functions and
+classes are their own scopes), and as read when it is loaded or deleted
+anywhere in the function, nested scopes included, since a closure reads the
+enclosing binding.  Names starting with ``_`` are deliberately unused;
+``self`` and ``cls`` are part of a method's signature.
+"""
+
+import ast
+import pathlib
+
+import logres
+
+SRC = pathlib.Path(logres.__file__).parent
+
+# (module, function, name) -> why the unread name stays
+ALLOWED = {
+    ("normalization", "pullback", "D"):
+        "public and traced signature pullback(p, branch, D, ...); callers "
+        "and tests pass the germ",
+}
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body outside nested function and class scopes."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _stored(fn):
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [
+        x for x in (a.vararg, a.kwarg) if x is not None]
+    names = {p.arg for p in params}
+    outer = set()
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            outer.update(node.names)
+    return names - outer
+
+
+def _read(fn):
+    return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, (ast.Load, ast.Del))}
+
+
+def _unread(fn):
+    """fn's stored names that are never read, less the exempt ones."""
+    return sorted(name for name in _stored(fn) - _read(fn)
+                  if not name.startswith("_") and name not in ("self", "cls"))
+
+
+def unread_names():
+    """(module, function, name) for every stored name that is never read."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.extend((path.stem, fn.name, name) for name in _unread(fn))
+    return out
+
+
+def test_no_unread_parameters_or_locals():
+    found = [t for t in unread_names() if t not in ALLOWED]
+    assert not found, "assigned and never read: " + ", ".join(
+        f"{m}.{f}: {n}" for m, f, n in found)
+
+
+def test_allowlist_is_current():
+    # an allowlisted name that is now read, or gone, must leave the list
+    assert set(ALLOWED) <= set(unread_names())
+
+
+def test_scan_sees_unread_names():
+    src = ("def f(a, _b, c):\n"
+           "    x, y = a, 1\n"
+           "    for i, j in c:\n"
+           "        pass\n"
+           "    def g():\n"
+           "        return x + j\n"
+           "    return g\n")
+    fn = ast.parse(src).body[0]
+    assert _unread(fn) == ["i", "y"]

@@ -103,7 +103,7 @@ def test_validate_branches_node():
         FractionalIdeal.make([(one, one), (y, x + y)], D))
     assert D.ideal_equal_mod_h(conductor(nd), [x, y])
     # here R_D = O~ (normal crossing)
-    assert residue_module(D, crosscheck=False).equals(nd.weak_ring)
+    assert residue_module(D).equals(nd.weak_ring)
 
 
 def test_validate_branches_smooth():
@@ -235,7 +235,7 @@ def test_chain_inclusions_on_curves():
         nd = normalization_from_branches(D)
         from logres.germs import jacobian_ideal
         J = FractionalIdeal(D, jacobian_ideal(D), 1)
-        R = residue_module(D, crosscheck=False)
+        R = residue_module(D)
         C = FractionalIdeal(D, nd.conductor_gens, 1)
         O = FractionalIdeal.ring(D)
         chain = [J, R.dual(), C, O, nd.weak_ring, R]

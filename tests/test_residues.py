@@ -1,8 +1,11 @@
 """Residues of logarithmic 1-forms, the residue module, direct sums."""
 
+import inspect
+
 import pytest
 
-from logres.errors import InputError
+from logres import residues
+from logres.errors import InputError, EngineError
 from logres.poly import Poly
 from logres.groebner import reduce_poly
 from logres.germs import DivisorGerm, VectorField, LogOneForm, is_free, \
@@ -90,6 +93,28 @@ def test_residue_module_cusp():
     expected = FractionalIdeal.make(
         [(C.poly("1"), C.poly("1")), (C.poly("y"), C.poly("x"))], C)
     assert R.equals(expected)
+
+
+def test_residue_module_caches_one_certified_ideal(monkeypatch):
+    assert "crosscheck" not in inspect.signature(residue_module).parameters
+    monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
+    C = DivisorGerm(["x", "y"], "x^2 - y^3")
+    R = residue_module(C)
+    assert residue_module(C) is R
+    assert all(isinstance(v, FractionalIdeal)
+               for v in residues._RESIDUE_MODULE_CACHE.values())
+
+
+def test_residue_module_certifies_first_computation(monkeypatch):
+    # a residue map that sends every form to 1 makes the dual basis generate
+    # O_D, not R_D; the first R_D of a free germ must catch it
+    monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
+    monkeypatch.setattr(residues, "residue",
+                        lambda w, D: MeroFraction(D, D.poly("1"), D.poly("1")))
+    C = DivisorGerm(["x", "y"], "x^2 - y^3")
+    with pytest.raises(EngineError):
+        residue_module(C)
+    assert not residues._RESIDUE_MODULE_CACHE
 
 
 def test_sigma_check_examples():

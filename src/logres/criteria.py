@@ -14,7 +14,7 @@ import json
 import time
 
 from .errors import InputError, ConsistencyError
-from .poly import Poly, poly_str, parse
+from .poly import poly_str, parse
 from .groebner import radical_test, local_dim, _row_echelon
 from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
 from .fractional import FractionalIdeal
@@ -172,7 +172,7 @@ def check_normal_crossing_at_origin(D, factors):
     """The coordinate-system criterion on a validated factorization: at most
     n factors through the origin, each smooth there, with Jacobian of full
     rank.  Returns (bool, reason)."""
-    validate_factorization(D, factors, require_coprime=False)
+    validate_factorization(D, factors)
     vanishing = [f for f in factors if f.constant_term() == 0]
     m = len(vanishing)
     if m > D.n:
@@ -271,36 +271,34 @@ def _free_equivalences(D, b, d, g):
     return {"B": b, "D": d, "G": g}
 
 
-_SHEAR_SCHEDULE = [(i, j, c) for c in (1, -1) for i in range(4) for j in range(4)
-                   if i != j]
-
-
 def classify_gorenstein_suspension(D, gorenstein=None, seed=0):
     """For germs with Gorenstein singular locus of codimension one in D:
-    verify the product structure (a plane-curve factor after a linear change
-    from a fixed schedule) and Euler homogeneity of the curve factor.
+    decide whether D is a suspension of a quasihomogeneous plane curve, that
+    is, whether h is a function of two linear forms, and return an Euler
+    field of h in D's own coordinates as the witness.  A suspension that
+    needs a nonlinear change of coordinates is not recognised.
     Returns (verdict, euler_witness_or_diagnostic)."""
     gor = gorenstein if gorenstein is not None else gorenstein_singular_locus(D, seed=seed)
     if gor != "gorenstein":
         return "not_applicable", f"singular locus verdict: {gor}"
     if local_dim(D.jacobian_pullback, D.n) != D.n - 2:
         return "not_applicable", "singular locus is not of codimension 1 in D"
-
-    candidates = [D]
-    for (i, j, c) in _SHEAR_SCHEDULE:
-        if i >= D.n or j >= D.n:
-            continue
-        sub = {i: Poly.variable(D.n, i) + Poly.variable(D.n, j).scale(c)}
-        candidates.append(DivisorGerm(D.names, D.h.subs(sub)))
-    for cand in candidates:
-        if len(cand.active_vars) <= 2:
-            ef = euler_field(cand)
-            if ef is None:
-                return "not_applicable", (
-                    "curve factor found but no Euler field; this should not "
-                    "happen for a Gorenstein singular locus")
-            return "suspension_of_quasihomogeneous_plane_curve", ef
-    return "not_applicable", "no plane-curve factor found within the schedule"
+    # a constant field v kills h iff v . grad h = 0, i.e. v lies in the kernel
+    # of the matrix with one row per monomial whose column i holds that
+    # monomial's coefficient in dh/dx_i; h is a function of rank-many linear
+    # forms
+    monomials = {e for p in D.partials for e in p.terms}
+    rows = [[p.terms.get(e, 0) for p in D.partials] for e in monomials]
+    if len(_row_echelon(rows)) > 2:
+        return "not_applicable", "h is not a function of two linear forms"
+    # Euler homogeneity survives a linear change of coordinates, and for an
+    # isolated plane-curve singularity it is quasihomogeneity (K. Saito)
+    ef = euler_field(D)
+    if ef is None:
+        return "not_applicable", (
+            "curve factor found but no Euler field; this should not "
+            "happen for a Gorenstein singular locus")
+    return "suspension_of_quasihomogeneous_plane_curve", ef
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,10 @@ class FractionalIdeal:
                                    [self.den * p for p in other.num])
 
     def product(self, other):
+        """I * I', built with self.seed."""
         D = self.germ
         nums = [a * b for a in self.num for b in other.num]
-        return FractionalIdeal(D, nums, self.den * other.den)
+        return FractionalIdeal(D, nums, self.den * other.den, seed=self.seed)
 
     def dual(self):
         """I^dual = {f : f*I in O_D} = den * (<c> : num) / c for a certified

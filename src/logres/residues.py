@@ -15,7 +15,7 @@ certified against the residues of a dual basis of logarithmic forms.
 from __future__ import annotations
 
 from .errors import InputError, EngineError
-from .poly import Poly, poly_str, exact_div, squarefree_check, poly_gcd
+from .poly import Poly, poly_str, exact_div
 from .groebner import Vec, syzygies, min_generators_local
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
                     form_is_logarithmic)
@@ -221,9 +221,11 @@ def gorenstein_singular_locus(D, seed=0):
     return gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
 
-def validate_factorization(D, factors, require_coprime=True):
-    """Check: each factor squarefree, pairwise distinct (and coprime when
-    requested), product equal to h up to a nonzero constant."""
+def validate_factorization(D, factors):
+    """Check: no factor zero, factors pairwise distinct, product equal to h
+    up to a nonzero constant; returns that constant.  The product check is
+    enough: h is squarefree (DivisorGerm certifies it), so a squared factor
+    or a factor shared by two of the given ones would divide h twice."""
     factors = list(factors)
     if not factors:
         raise InputError("empty factor list")
@@ -231,15 +233,9 @@ def validate_factorization(D, factors, require_coprime=True):
     for f in factors:
         if f.is_zero:
             raise InputError("zero factor")
-        if not squarefree_check(f):
-            raise InputError(f"factor {poly_str(f, D.names)} is not squarefree")
         prod = prod * f
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if factors[i] == factors[j]:
-                raise InputError("factors are not pairwise distinct")
-            if require_coprime and not poly_gcd(factors[i], factors[j]).is_constant():
-                raise InputError("factors are not pairwise coprime")
+    if len(set(factors)) < len(factors):
+        raise InputError("factors are not pairwise distinct")
     scale = exact_div(D.h, prod)
     if scale is None or not scale.is_constant() or scale.is_zero:
         raise InputError("factor product does not equal h up to a constant")

@@ -40,6 +40,13 @@ def test_analyze_invalid_input_exit_2(capsys):
     assert "squarefree" in err
 
 
+def test_analyze_invalid_factors_exit_2(capsys):
+    for factors in ("x^2;y", "x*y;y", "x;x"):
+        assert main(["analyze", "--vars", "x,y", "--poly", "x*y",
+                     "--factors", factors]) == 2, factors
+        assert "factor" in capsys.readouterr().err
+
+
 def test_analyze_parse_error_exit_2(capsys):
     assert main(["analyze", "--vars", "x", "--poly", "x*("]) == 2
 

@@ -127,6 +127,13 @@ def test_classify_gorenstein_suspension():
     assert classify_gorenstein_suspension(S)[0] == "not_applicable"
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
     assert classify_gorenstein_suspension(Z)[0] == "not_applicable"
+    # a suspension in other linear coordinates: the witness is an Euler
+    # field of h itself, in the input coordinates
+    for text in ("(x+y)^2 - z^3", "x^2 - (y+2*z)^3"):
+        L = DivisorGerm(["x", "y", "z"], text)
+        verdict, witness = classify_gorenstein_suspension(L)
+        assert verdict == "suspension_of_quasihomogeneous_plane_curve", text
+        assert witness.check(L), text
 
 
 def test_analyze_xyz_all_true():

@@ -110,6 +110,12 @@ def test_product():
     assert O.includes(J.product(R))
 
 
+def test_product_uses_the_construction_seed():
+    C = cusp()
+    J = FractionalIdeal(C, jacobian_ideal(C), 1, seed=1)
+    assert J.product(J).seed == 1
+
+
 def test_reflexive():
     D = node()
     J = FractionalIdeal(D, jacobian_ideal(D), 1)

@@ -1,12 +1,18 @@
 """Source hygiene: no function of the package keeps a parameter or a local
-that is assigned and never read.
+that is assigned and never read, and no module keeps a private top-level name
+that no module of the package reads.
 
-The scan is per function scope.  A name counts as stored when it is a
-parameter or a binding target inside the function (nested functions and
+The function scan is per function scope.  A name counts as stored when it is
+a parameter or a binding target inside the function (nested functions and
 classes are their own scopes), and as read when it is loaded or deleted
 anywhere in the function, nested scopes included, since a closure reads the
 enclosing binding.  Names starting with ``_`` are deliberately unused;
 ``self`` and ``cls`` are part of a method's signature.
+
+The module scan takes the ``_``-prefixed functions, classes and assignment
+targets at the top level of each module (dunders aside), and counts one as
+read when any module loads it by name or as an attribute; an import alone is
+not a read.
 """
 
 import ast
@@ -80,6 +86,43 @@ def test_no_unread_parameters_or_locals():
         f"{m}.{f}: {n}" for m, f, n in found)
 
 
+def _private_top_level(tree):
+    """The private names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_private_names(sources=None):
+    """(module, name) for every private top-level name that no module reads;
+    sources maps module names to their text, the package by default."""
+    if sources is None:
+        sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del)):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((m, name) for m, tree in trees.items()
+                  for name in _private_top_level(tree) - read)
+
+
+def test_no_unread_private_module_names():
+    found = unread_private_names()
+    assert not found, "private and never read: " + ", ".join(
+        f"{m}.{n}" for m, n in found)
+
+
 def test_allowlist_is_current():
     # an allowlisted name that is now read, or gone, must leave the list
     assert set(ALLOWED) <= set(unread_names())
@@ -95,3 +138,17 @@ def test_scan_sees_unread_names():
            "    return g\n")
     fn = ast.parse(src).body[0]
     assert _unread(fn) == ["i", "y"]
+
+
+def test_scan_sees_unread_private_names():
+    sources = {"a": "_K, _L = 1, 2\n"
+                    "def _f():\n"
+                    "    return _K\n"
+                    "def _g():\n"
+                    "    pass\n"
+                    "class _C:\n"
+                    "    pass\n"
+                    "__all__ = []\n",
+               "b": "from a import _g\n"
+                    "x = a._C\n"}
+    assert unread_private_names(sources) == [("a", "_L"), ("a", "_f"), ("a", "_g")]

@@ -158,6 +158,12 @@ def test_validate_factorization():
         validate_factorization(D, [D.poly("x"), D.poly("x")])
     with pytest.raises(InputError):
         validate_factorization(D, [D.poly("x")])
+    with pytest.raises(InputError):
+        validate_factorization(D, [D.poly("x^2"), D.poly("y")])
+    with pytest.raises(InputError):
+        validate_factorization(D, [])
+    with pytest.raises(InputError):
+        validate_factorization(D, [D.poly("x*y"), D.poly("0")])
     T = DivisorGerm(["x", "y"], "x*y*(x+y)")
     # a coarse but coprime squarefree factorization is accepted
     assert validate_factorization(T, [T.poly("x"), T.poly("y*(x+y)")]) == 1

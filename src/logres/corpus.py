@@ -157,6 +157,25 @@ CORPUS = [
         "expected_extras": {"direct_sum": "false", "mu_residues": 2,
                             "contains_unit": False},
     },
+    {
+        # the cone over a smooth plane cubic: an isolated surface
+        # singularity, so normal (R_D = O_D = O~, cyclic) and smooth in
+        # codimension one, yet singular and not free; the Jacobian ideal
+        # <x^2, y^2, z^2> is not radical and differs from C_D = O_D
+        "name": "cubic-cone",
+        "vars": ["x", "y", "z"],
+        "poly": "x^3 + y^3 + z^3",
+        "factors": "x^3 + y^3 + z^3",
+        "expected": {
+            "free": "false", "euler_homogeneous": "true",
+            "jacobian_radical": "false", "jacobian_eq_conductor": "false",
+            "residues_weakly_holomorphic": "true",
+            "normal_crossing_at_origin": "false",
+            "gorenstein_singular_locus": "undecided",
+        },
+        "expected_extras": {"direct_sum": "true", "mu_residues": 1,
+                            "contains_unit": True},
+    },
 ]
 
 

@@ -16,11 +16,12 @@ import time
 from .errors import InputError, ConsistencyError
 from .poly import poly_str, parse
 from .groebner import radical_test, local_dim, _row_echelon
-from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
+from .germs import (DivisorGerm, jacobian_ideal, is_free, euler_field,
+                    once_per_germ)
 from .fractional import FractionalIdeal
 from .residues import (MeroFraction, residue_module, mu_residues,
                        gorenstein_rule, gorenstein_singular_locus,
-                       direct_sum_check, validate_factorization)
+                       direct_sum_check, IdempotentData)
 from .normalization import (normalization_from_branches,
                             normalization_from_smooth_factors,
                             is_weakly_holomorphic, _curve_setup)
@@ -168,12 +169,11 @@ def check_condition_D(D, seed=0):
     return UNDECIDED, rv.method, rv
 
 
-def check_normal_crossing_at_origin(D, factors):
-    """The coordinate-system criterion on a validated factorization: at most
-    n factors through the origin, each smooth there, with Jacobian of full
-    rank.  Returns (bool, reason)."""
-    validate_factorization(D, factors)
-    vanishing = [f for f in factors if f.constant_term() == 0]
+def check_normal_crossing_at_origin(D, idem):
+    """The coordinate-system criterion on a validated factorization idem: at
+    most n factors through the origin, each smooth there, with Jacobian of
+    full rank.  Returns (bool, reason)."""
+    vanishing = [f for f in idem.factors if f.constant_term() == 0]
     m = len(vanishing)
     if m > D.n:
         return False, f"{m} components through the origin exceed the dimension {D.n}"
@@ -189,6 +189,7 @@ def check_normal_crossing_at_origin(D, factors):
     return True, "factors form part of a coordinate system"
 
 
+@once_per_germ
 def _curve_nc_at_origin(D):
     """Normal crossing for the curve factor: smooth, or an ordinary double
     point (nondegenerate Hessian)."""
@@ -204,30 +205,23 @@ def _curve_nc_at_origin(D):
     return hxx * hyy - hxy * hxy != 0
 
 
-def check_condition_B(D, factors=None):
+def check_condition_B(D, idem=None):
     """Normal crossing in codimension one, decided on the classes where the
     codimension-one behaviour reduces to finitely many checks: smooth germs,
-    curve germs and suspensions (the origin of the curve factor), and
-    factored smooth arrangements (pairwise transversality plus no triple
-    contact in codimension one).  Returns (verdict, reason)."""
+    curve germs and suspensions (the origin of the curve factor), and a
+    validated factorization idem into smooth factors (pairwise transversality
+    plus no triple contact in codimension one).  Returns (verdict, reason)."""
     if D.is_smooth:
         return TRUE, "smooth germ"
     curve = _curve_nc_at_origin(D)
     if curve is not None:
         return _tri(curve), "curve factor at the origin"
-    if factors:
-        try:
-            validate_factorization(D, factors)
-        except InputError:
-            return UNDECIDED, "factorization not validated"
-        smooth = all(f.constant_term() == 0
-                     and any(f.diff(i).constant_term() != 0 for i in range(D.n))
-                     for f in factors)
-        if not smooth:
-            return UNDECIDED, "components are not all smooth at the origin"
-        ok = _arrangement_nc_in_codim1(D, factors)
-        return _tri(ok), "smooth arrangement checks"
-    return UNDECIDED, "no decidable class applies"
+    if idem is None:
+        return UNDECIDED, "no decidable class applies"
+    if not idem.smooth:
+        return UNDECIDED, "components are not all smooth at the origin"
+    ok = _arrangement_nc_in_codim1(D, idem.factors)
+    return _tri(ok), "smooth arrangement checks"
 
 
 def _arrangement_nc_in_codim1(D, factors):
@@ -254,7 +248,8 @@ def crosscheck_free_equivalences(D, factors=None, nd=None, seed=0):
     free, _ = is_free(D)
     if not free:
         raise InputError("crosscheck_free_equivalences requires a free divisor")
-    b, _ = check_condition_B(D, factors)
+    idem = IdempotentData(D, factors) if factors is not None else None
+    b, _ = check_condition_B(D, idem)
     d, _, _ = check_condition_D(D, seed=seed)
     g, _ = check_condition_G(D, nd, seed=seed)
     return _free_equivalences(D, b, d, g)
@@ -315,6 +310,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     witnesses = {}
     consistency = []
     extras = {}
+    idem = IdempotentData(D, factors) if factors is not None else None
 
     free, saito = is_free(D)
     if D.n == 2:
@@ -343,9 +339,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         if nd is None:
             witnesses["normalization"] = ("rational Newton-Puiseux expansion "
                                           "unsupported and no branches supplied")
-    if factors:
+    if idem is not None and idem.smooth:
         try:
-            nd_factors = normalization_from_smooth_factors(D, factors, seed=seed)
+            nd_factors = normalization_from_smooth_factors(D, idem, seed=seed)
         except InputError:
             nd_factors = None
     if nd is not None and nd_factors is not None:
@@ -368,8 +364,8 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     d_verdict, d_why, rv = check_condition_D(D, seed=seed)
     witnesses["condition_D"] = d_why
 
-    if factors:
-        nc, nc_why = check_normal_crossing_at_origin(D, factors)
+    if idem is not None:
+        nc, nc_why = check_normal_crossing_at_origin(D, idem)
         f_verdict = _tri(nc)
     elif D.is_smooth:
         f_verdict, nc_why = TRUE, "smooth germ"
@@ -381,12 +377,15 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             f_verdict, nc_why = _tri(curve_nc), "curve criterion at the origin"
     witnesses["normal_crossing"] = nc_why
 
-    b_verdict, _ = check_condition_B(D, factors)
+    b_verdict, _ = check_condition_B(D, idem)
 
     ds_verdict = None
-    if factors:
-        ds_ok, _ = direct_sum_check(D, factors, seed=seed)
-        ds_verdict = _tri(ds_ok)
+    if idem is not None:
+        if nd is not None and nd is nd_factors:
+            # (C) compared R_D with this same idempotent module
+            ds_verdict = c_verdict
+        else:
+            ds_verdict = _tri(direct_sum_check(D, idem, seed=seed))
         extras["direct_sum"] = ds_verdict
 
     if free:
@@ -440,7 +439,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     # and R_D equals it iff (C) holds, which by the main theorem forces
     # normal crossing in codimension one, here pairwise transversality
     if ds_verdict is not None and nd_factors is not None:
-        transversal = _arrangement_nc_in_codim1(D, factors)
+        transversal = _arrangement_nc_in_codim1(D, idem.factors)
         coherent = (ds_verdict == TRUE) == (c_verdict == TRUE and transversal)
         if not coherent:
             raise ConsistencyError("direct-sum verdict incoherent with "
@@ -462,7 +461,8 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
         "input": {
             "vars": list(D.names),
             "poly": poly_str(D.h, D.names),
-            "factors": [poly_str(f, D.names) for f in factors] if factors else None,
+            "factors": ([poly_str(f, D.names) for f in idem.factors]
+                        if idem is not None else None),
             "branches": "supplied" if branches else
                         (nd.source if nd is not None else None),
         },

@@ -98,6 +98,13 @@ def find_nzd_in(D, gens, seed=0):
     return None
 
 
+def _same_germ(ideal, *others):
+    """Raise unless every one of others lives on the germ of ideal."""
+    for other in others:
+        if ideal.germ is not other.germ and ideal.germ.h != other.germ.h:
+            raise InputError("fractional ideals live on different germs")
+
+
 class FractionalIdeal:
     """Finitely generated O_D-submodule of the total quotient ring containing
     a nonzerodivisor, in common-denominator form num/den."""
@@ -169,27 +176,21 @@ class FractionalIdeal:
 
     def includes(self, other):
         """self contains other as submodules of the total quotient ring."""
-        if self.germ is not other.germ and self.germ.h != other.germ.h:
-            raise InputError("fractional ideals live on different germs")
+        _same_germ(self, other)
         return all(self.contains_fraction(p, other.den) for p in other.num)
 
     def includes_product(self, a, b):
         """self contains the product a*b.  The products of generators
         generate a*b, so testing them is enough, and den*den' is a
         nonzerodivisor because each factor was certified on construction."""
-        for x in (a, b):
-            if self.germ is not x.germ and self.germ.h != x.germ.h:
-                raise InputError("fractional ideals live on different germs")
+        _same_germ(self, a, b)
         q = a.den * b.den
         return all(self.contains_fraction(p * r, q) for p in a.num for r in b.num)
 
     def equals(self, other):
-        """Cross-multiplied ideal comparison: num*den' = num'*den mod h."""
-        if self.germ is not other.germ and self.germ.h != other.germ.h:
-            raise InputError("fractional ideals live on different germs")
-        D = self.germ
-        return D.ideal_equal_mod_h([other.den * p for p in self.num],
-                                   [self.den * p for p in other.num])
+        """Inclusion both ways: num'*den in den'*num, then num*den' in
+        den*num', mod h."""
+        return self.includes(other) and other.includes(self)
 
     def product(self, other):
         """I * I', built with self.seed."""

@@ -1,19 +1,20 @@
 """Reduced hypersurface germs and their logarithmic vector fields.
 
 A DivisorGerm is a squarefree polynomial h with h(0) = 0, carried with its
-variable names and cached Jacobian data.  Logarithmic vector fields are the
-syzygies of (dh/dx_1, ..., dh/dx_n, h) projected to the first n slots;
-freeness is decided by the minimal local generator count together with a
-determinant certificate det(M) = unit * h (Saito's criterion), each side
-certifying the other.
+variable names, cached Jacobian data and the facts of the germ alone, such
+as freeness and the Euler field (see once_per_germ).  Logarithmic vector
+fields are the syzygies of (dh/dx_1, ..., dh/dx_n, h) projected to the
+first n slots; freeness is decided by the minimal local generator count
+together with a determinant certificate det(M) = unit * h (Saito's
+criterion), each side certifying the other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
-from .errors import InputError, EngineError
+from .errors import InputError, EngineError, ParseError
 from .poly import Poly, Order, parse, poly_str, exact_div, squarefree_check
 from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
                        is_unit_ideal, syzygies, division_certificate,
@@ -26,6 +27,14 @@ class DivisorGerm:
     def __init__(self, names, h):
         self.names = tuple(names)
         self.n = len(self.names)
+        for i, name in enumerate(self.names):
+            try:
+                ok = parse(name, self.names) == Poly.variable(self.n, i)
+            except ParseError:
+                ok = False
+            if not ok:
+                raise InputError(f"variable name {name!r} does not parse back "
+                                 f"to itself: names must be distinct identifiers")
         if isinstance(h, str):
             h = parse(h, self.names)
         if h.n != self.n:
@@ -40,6 +49,8 @@ class DivisorGerm:
             raise InputError("h is not squarefree: the divisor must be reduced")
         self.local_order = Order("ds", self.n)
         self.global_order = Order("degrevlex", self.n)
+        # the results of the once_per_germ functions, by function name
+        self.facts = {}
 
     def __repr__(self):
         return f"DivisorGerm({poly_str(self.h, self.names)})"
@@ -96,6 +107,20 @@ class DivisorGerm:
         """Generators of the preimage of J_D in the ambient ring: h and its
         partials."""
         return (self.h,) + self.partials
+
+
+def once_per_germ(fn):
+    """Make fn(D), a fact of the germ alone, keep its result in D.facts, so
+    each germ computes it once.  The work is read from __wrapped__ at call
+    time, so a test can wrap it there."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def fact(D):
+        if name not in D.facts:
+            D.facts[name] = fact.__wrapped__(D)
+        return D.facts[name]
+    return fact
 
 
 def jacobian_ideal(D):
@@ -219,6 +244,7 @@ def _adjugate(m):
     return adj
 
 
+@once_per_germ
 def is_free(D):
     """Freeness verdict plus a certified Saito matrix when free.
 
@@ -258,6 +284,7 @@ class EulerField:
         return lhs == self.unit * D.h
 
 
+@once_per_germ
 def euler_field(D):
     """The witness chi with chi(h) = h when h lies in the ideal of its
     partials locally; None otherwise."""

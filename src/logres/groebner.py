@@ -371,15 +371,19 @@ def _reducers(basis, mo):
 def normal_form(f, basis, mo):
     """Remainder of f modulo a standard basis.  Zero iff f lies in the ideal
     (local orders: in its extension to the local ring at the origin)."""
-    return _remainder(as_vec(f), [red for _, red in _reducers(basis, mo)], mo)
+    return _divide(as_vec(f), [red for _, red in _reducers(basis, mo)], mo,
+                   False)[2]
 
 
-def _remainder(f, reducers, mo):
-    if not reducers:
-        return f
+def _divide(f, reducers, mo, want_cert):
+    """(quots, unit, rem) with unit*f = sum quots[i]*reducers[i] + rem, by
+    divide_vec (unit 1) or Mora's weak normal form; without want_cert the
+    unit, and the quotients of a local division, may be None."""
     if mo.is_global:
-        return divide_vec(f, reducers, mo)[1]
-    return mora_nf(f, reducers, mo, want_cert=False)[0]
+        quots, rem = divide_vec(f, reducers, mo)
+        return quots, Poly.const(f.n, 1) if want_cert else None, rem
+    rem, unit, quots = mora_nf(f, reducers, mo, want_cert=want_cert)
+    return quots, unit, rem
 
 
 def division_certificate(f, basis, mo):
@@ -387,12 +391,7 @@ def division_certificate(f, basis, mo):
     (unit = 1 for global orders); a zero element of basis gets quotient 0."""
     f = as_vec(f)
     indexed = _reducers(basis, mo)
-    reducers = [red for _, red in indexed]
-    if mo.is_global:
-        quots, rem = divide_vec(f, reducers, mo)
-        unit = Poly.const(f.n, 1)
-    else:
-        rem, unit, quots = mora_nf(f, reducers, mo)
+    quots, unit, rem = _divide(f, [red for _, red in indexed], mo, True)
     full = [Poly.zero(f.n)] * len(basis)
     for (i, _), q in zip(indexed, quots):
         full[i] = q
@@ -405,11 +404,9 @@ def division_certificate(f, basis, mo):
 
 def _compute_basis(gens, mo, transform):
     """Shared Buchberger/Mora loop.  Returns the list of _Elem."""
-    n = None
     G = []
     for i, g in enumerate(gens):
         v = as_vec(g)
-        n = v.n
         trow = None
         if transform:
             trow = [Poly.zero(v.n) for _ in gens]
@@ -419,15 +416,9 @@ def _compute_basis(gens, mo, transform):
     if not G:
         return []
 
-    use_mora = not mo.is_global
-
     def reduce_elem(vec, trow_parts):
         """Reduce vec against current G; returns (rem, trow) or None if zero."""
-        if use_mora:
-            rem, unit, quots = mora_nf(vec, G, mo, want_cert=transform)
-        else:
-            quots, rem = divide_vec(vec, G, mo)
-            unit = Poly.const(n, 1)
+        quots, unit, rem = _divide(vec, G, mo, transform)
         if rem.is_zero:
             return None
         trow = None
@@ -610,8 +601,8 @@ def ideal_contains(f, gens, order):
     key = tuple(g for g in gens if not g.is_zero)
     if not key:
         return f.is_zero
-    return _remainder(Vec([f]), _std_cached(key, order),
-                      _ideal_mo(order)).is_zero
+    return _divide(Vec([f]), _std_cached(key, order), _ideal_mo(order),
+                   False)[2].is_zero
 
 
 def ideal_equal(gens1, gens2, order):

@@ -32,7 +32,6 @@ from .errors import InputError, EngineError
 from .poly import Poly, poly_str, ZERO, ONE
 from .groebner import local_colength, kernel_basis
 from .fractional import FractionalIdeal, nzd_witness
-from .residues import IdempotentData, validate_factorization
 
 MAX_EXPANSION_DEPTH = 64
 
@@ -691,17 +690,12 @@ def _conductor_from_weak(D, weak, seed=0):
     return gens
 
 
-def normalization_from_smooth_factors(D, factors, seed=0):
-    """O~ for a divisor presented by pairwise coprime smooth factors: the
-    direct sum of the component rings, generated by the idempotents."""
-    validate_factorization(D, factors)
-    for f in factors:
-        if f.constant_term() != 0:
-            raise InputError("factor does not vanish at the origin")
-        if all(f.diff(i).constant_term() == 0 for i in range(D.n)):
-            raise InputError(
-                f"factor {poly_str(f, D.names)} is not smooth at the origin")
-    idem = IdempotentData(D, factors)
+def normalization_from_smooth_factors(D, idem, seed=0):
+    """O~ for a divisor presented by a validated factorization (an
+    IdempotentData) into smooth factors through the origin: the direct sum
+    of the component rings, generated by the idempotents."""
+    if not idem.smooth:
+        raise InputError("components are not all smooth at the origin")
     weak = idem.module(seed=seed)
     cond = _conductor_from_weak(D, weak, seed=seed)
     return NormalizationData(D, [], weak, cond, "smooth_factors", {})

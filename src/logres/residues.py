@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div
-from .groebner import Vec, syzygies, min_generators_local
+from .groebner import Vec, syzygies, min_generators_local, reduce_poly
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
                     form_is_logarithmic)
 from .fractional import FractionalIdeal, nzd_witness
@@ -48,7 +48,6 @@ class MeroFraction:
         """Reduction of numerator and denominator modulo a component {factor=0};
         guarded against denominators vanishing on the component."""
         D = self.germ
-        from .groebner import reduce_poly
         num_r = reduce_poly(self.num, (factor,), D.global_order)
         den_r = reduce_poly(self.den, (factor,), D.global_order)
         if den_r.is_zero:
@@ -158,8 +157,9 @@ _RESIDUE_MODULE_CACHE = {}
 
 def residue_module(D, seed=0):
     """R_D as a fractional ideal: the dual of the Jacobian ideal.  When D is
-    free the residues of a dual basis of logarithmic forms are certified to
-    generate the same fractional ideal before R_D is cached."""
+    free the residues of the dual basis of its Saito matrix (which is_free
+    keeps on the germ) are certified to generate the same fractional ideal
+    before R_D is cached."""
     key = (D.h, D.names, seed)
     R = _RESIDUE_MODULE_CACHE.get(key)
     if R is not None:
@@ -225,7 +225,8 @@ def validate_factorization(D, factors):
     """Check: no factor zero, factors pairwise distinct, product equal to h
     up to a nonzero constant; returns that constant.  The product check is
     enough: h is squarefree (DivisorGerm certifies it), so a squared factor
-    or a factor shared by two of the given ones would divide h twice."""
+    or a factor shared by two of the given ones would divide h twice.
+    IdempotentData runs it once, on construction."""
     factors = list(factors)
     if not factors:
         raise InputError("empty factor list")
@@ -243,41 +244,28 @@ def validate_factorization(D, factors):
 
 
 class IdempotentData:
-    """The componentwise-unit fractions e_i = (h/f_i) / g, g = sum h/f_j,
-    with certified relations e_i^2 = e_i and sum e_i = 1 mod h."""
+    """A validated factorization of h with its componentwise-unit fractions
+    e_i = (h/f_i) / g, g = sum h/f_j, so sum e_i = 1, and certified relations
+    e_i^2 = e_i mod h.  smooth records whether every factor passes through
+    the origin and is smooth there."""
 
-    __slots__ = ("germ", "factors", "parts", "g")
+    __slots__ = ("germ", "factors", "smooth", "parts", "g")
 
     def __init__(self, D, factors):
-        validate_factorization(D, factors)
-        self.germ = D
         self.factors = tuple(factors)
-        parts = []
-        for f in factors:
-            p = exact_div(D.h, f)
-            assert p is not None
-            parts.append(p)
-        self.parts = tuple(parts)
-        g = Poly.zero(D.n)
-        for p in parts:
-            g = g + p
-        self.g = g
-        w = nzd_witness(D, g)
-        if w is not None:
+        validate_factorization(D, self.factors)
+        self.germ = D
+        self.smooth = all(f.constant_term() == 0
+                          and any(f.diff(i).constant_term() for i in range(D.n))
+                          for f in self.factors)
+        # each factor divides h exactly: their product is h up to a constant
+        self.parts = tuple(exact_div(D.h, f) for f in self.factors)
+        self.g = sum(self.parts, Poly.zero(D.n))
+        if nzd_witness(D, self.g) is not None:
             raise EngineError("idempotent denominator is a zero divisor")
-        self._certify()
-
-    def _certify(self):
-        D = self.germ
-        total = Poly.zero(D.n)
-        for p in self.parts:
-            total = total + p
-        if total != self.g:
-            raise EngineError("idempotents do not sum to 1")
         for p in self.parts:
             # e^2 - e = p*(p - g)/g^2; the numerator must be divisible by h
-            q = exact_div(p * (p - self.g), D.h)
-            if q is None:
+            if exact_div(p * (p - self.g), D.h) is None:
                 raise EngineError("idempotent relation e^2 = e failed")
 
     def fractions(self):
@@ -289,10 +277,7 @@ class IdempotentData:
         return FractionalIdeal(self.germ, list(self.parts), self.g, seed=seed)
 
 
-def direct_sum_check(D, factors, seed=0):
-    """Whether R_D equals the direct sum of the component rings O_{D_i}
-    realized by the idempotent fractions.  Returns (verdict, IdempotentData)."""
-    idem = IdempotentData(D, factors)
-    T = idem.module(seed=seed)
-    R = residue_module(D, seed=seed)
-    return T.equals(R), idem
+def direct_sum_check(D, idem, seed=0):
+    """Whether R_D equals the direct sum of the component rings O_{D_i},
+    realized by the idempotent fractions of a validated factorization."""
+    return idem.module(seed=seed).equals(residue_module(D, seed=seed))

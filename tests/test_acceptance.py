@@ -20,7 +20,8 @@ from logres.germs import (DivisorGerm, LogOneForm, is_free, euler_field,
 from logres.fractional import FractionalIdeal
 from logres.residues import (MeroFraction, residue, residue_certificates,
                              residue_module, sigma_check, mu_residues,
-                             direct_sum_check, gorenstein_singular_locus)
+                             direct_sum_check, gorenstein_singular_locus,
+                             IdempotentData)
 from logres.normalization import (normalization_from_branches,
                                   is_weakly_holomorphic)
 from logres.criteria import analyze_text, crosscheck_free_equivalences, \
@@ -133,9 +134,8 @@ def test_criterion_4_direct_sums_with_idempotent_certificates():
     for vars_, text, factors in [(["x", "y"], "x*y", ["x", "y"]),
                                  (["x", "y", "z"], "x*y*z", ["x", "y", "z"])]:
         D = DivisorGerm(vars_, text)
-        fs = [D.poly(f) for f in factors]
-        ok, idem = direct_sum_check(D, fs)
-        assert ok
+        idem = IdempotentData(D, [D.poly(f) for f in factors])
+        assert direct_sum_check(D, idem)
         total = Poly.zero(D.n)
         for p in idem.parts:
             q = exact_div(p * (p - idem.g), D.h)
@@ -201,7 +201,7 @@ def test_criterion_6_cusp_pipeline_against_series_oracle():
 
 def test_criterion_7_equivalence_suites():
     """On every corpus germ: the inclusion chain, dual identities for free
-    germs, (C) iff (G), cyclic residues iff smooth, residue well-definedness
+    germs, (C) iff (G), cyclic residues iff smooth (free germs), residue well-definedness
     under two certificates, and the sigma pairing on the full basis product
     set."""
     for entry in CORPUS:
@@ -235,7 +235,9 @@ def test_criterion_7_equivalence_suites():
         if free:
             assert R.dual().equals(J), entry["name"]          # J = dual(R)
             assert J.dual().dual().equals(J), entry["name"]   # involution
-        assert (mu_residues(D)[0] == 1) == D.is_smooth, entry["name"]
+            # only for free D: a normal surface has R_D = O_D, cyclic, but
+            # is not smooth
+            assert (mu_residues(D)[0] == 1) == D.is_smooth, entry["name"]
 
         # well-definedness: two distinct certificates per corpus form
         forms = [LogOneForm(list(D.partials))]  # dh/h is always logarithmic

@@ -47,6 +47,18 @@ def test_analyze_invalid_factors_exit_2(capsys):
         assert "factor" in capsys.readouterr().err
 
 
+def test_analyze_unreadable_variable_names_exit_2(capsys):
+    for names in ("x,x", "x,1"):
+        assert main(["analyze", "--vars", names, "--poly", "x"]) == 2, names
+        assert "variable name" in capsys.readouterr().err
+
+
+def test_analyze_empty_factor_list_exit_2(capsys):
+    assert main(["analyze", "--vars", "x,y", "--poly", "x*y",
+                 "--factors", " ; "]) == 2
+    assert "empty factor list" in capsys.readouterr().err
+
+
 def test_analyze_parse_error_exit_2(capsys):
     assert main(["analyze", "--vars", "x", "--poly", "x*("]) == 2
 

@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
-from logres import criteria, residues
+from logres import criteria, germs, residues
 from logres.errors import InputError
+from logres.fractional import FractionalIdeal
 from logres.germs import DivisorGerm
+from logres.residues import IdempotentData
 from logres.normalization import normalization_from_branches
 from logres.criteria import (analyze, analyze_text, check_condition_C,
                              check_condition_G, check_condition_D,
@@ -68,31 +70,34 @@ def test_condition_D_examples():
 def test_normal_crossing_at_origin():
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
     ok, _ = check_normal_crossing_at_origin(
-        Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")])
+        Z, IdempotentData(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")]))
     assert ok
     # tangential pair: rank 1 at the origin
     D = DivisorGerm(["x", "y"], "x*(x+y^2)")
-    ok2, why = check_normal_crossing_at_origin(D, [D.poly("x"), D.poly("x+y^2")])
+    ok2, why = check_normal_crossing_at_origin(
+        D, IdempotentData(D, [D.poly("x"), D.poly("x+y^2")]))
     assert not ok2
     # too many components through the origin
     T = DivisorGerm(["x", "y"], "x*y*(x-y)")
     ok3, why3 = check_normal_crossing_at_origin(
-        T, [T.poly("x"), T.poly("y"), T.poly("x-y")])
+        T, IdempotentData(T, [T.poly("x"), T.poly("y"), T.poly("x-y")]))
     assert not ok3 and "exceed" in why3
     with pytest.raises(InputError):
-        check_normal_crossing_at_origin(Z, [Z.poly("x"), Z.poly("y")])
+        check_normal_crossing_at_origin(
+            Z, IdempotentData(Z, [Z.poly("x"), Z.poly("y")]))
 
 
 def test_condition_B():
     assert check_condition_B(DivisorGerm(["x", "y"], "x*y"))[0] == "true"
     assert check_condition_B(DivisorGerm(["x", "y"], "x^2 - y^3"))[0] == "false"
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
-    assert check_condition_B(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")])[0] == "true"
+    planes = IdempotentData(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")])
+    assert check_condition_B(Z, planes)[0] == "true"
     F = DivisorGerm(["x", "y", "z"], "x*y*(x+y)*(x+y*z)")
     factors = [F.poly(t) for t in ("x", "y", "x+y", "x+y*z")]
-    assert check_condition_B(F, factors)[0] == "false"
+    assert check_condition_B(F, IdempotentData(F, factors))[0] == "false"
     W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
-    assert check_condition_B(W, [W.h])[0] == "undecided"
+    assert check_condition_B(W, IdempotentData(W, [W.h]))[0] == "undecided"
 
 
 def test_crosscheck_free_equivalences():
@@ -216,6 +221,59 @@ def test_analyze_rejects_invalid_germ():
 def test_analyze_rejects_precision_below_one(precision):
     with pytest.raises(InputError, match="precision"):
         analyze_text(["x", "y"], "x^2 - y^3", precision=precision)
+
+
+def test_analyze_rejects_empty_factor_list():
+    D = DivisorGerm(["x", "y"], "x*y")
+    with pytest.raises(InputError, match="empty factor list"):
+        analyze(D, factors=[])
+
+
+# the work each fact costs, wrapped where it is done: log_derivations
+# inside is_free, the division by the partials inside euler_field, the
+# curve criterion behind its per-germ memo, the factorization check, the
+# idempotents, and the comparison of fractional ideals
+WORK = ("log_derivations", "euler_division", "curve_criterion",
+        "validate_factorization", "IdempotentData", "equals")
+
+
+def _count_work(monkeypatch):
+    calls = dict.fromkeys(WORK, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    curve = criteria._curve_nc_at_origin
+    for target, attr, name in (
+            (germs, "log_derivations", "log_derivations"),
+            (germs, "_partials_basis", "euler_division"),
+            (curve, "__wrapped__", "curve_criterion"),
+            (residues, "validate_factorization", "validate_factorization"),
+            (residues.IdempotentData, "__init__", "IdempotentData"),
+            (FractionalIdeal, "equals", "equals")):
+        monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
+    # as in a fresh process: the first R_D of the germ is computed and
+    # certified
+    monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
+    return calls
+
+
+@pytest.mark.parametrize("vars_,poly,factors,expected", [
+    ("xy", "x^2 - y^3", None,
+     {"log_derivations": 1, "euler_division": 1, "curve_criterion": 1}),
+    ("xyz", "x*y*z", "x;y;z",
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3}),
+    ("xyz", "x*y*(x+y)*(x+y*z)", "x;y;x+y;x+y*z",
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3}),
+])
+def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
+                                         expected):
+    calls = _count_work(monkeypatch)
+    analyze_text(list(vars_), poly, factors)
+    assert {k: calls[k] for k in expected} == expected
 
 
 def test_analyze_computes_freeness_and_mu_once(monkeypatch):

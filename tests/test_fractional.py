@@ -156,6 +156,7 @@ def _corpus_weak_ring(D, entry):
     branches or else from its smooth factors; None when neither applies."""
     from logres.normalization import (normalization_from_branches,
                                       normalization_from_smooth_factors)
+    from logres.residues import IdempotentData
     try:
         nd = normalization_from_branches(D)
     except InputError:
@@ -164,8 +165,8 @@ def _corpus_weak_ring(D, entry):
         return nd
     if entry["factors"]:
         try:
-            return normalization_from_smooth_factors(
-                D, [D.poly(f) for f in entry["factors"].split(";")])
+            return normalization_from_smooth_factors(D, IdempotentData(
+                D, [D.poly(f) for f in entry["factors"].split(";")]))
         except InputError:
             pass
     return None

@@ -23,6 +23,23 @@ def test_germ_validation():
         make(["x"], "0")
 
 
+@pytest.mark.parametrize("names", [["x", "x"], ["x", "1"], ["x", "d/d1"],
+                                   ["x", ""], ["x", "-y"], ["x", "y^2"]])
+def test_germ_rejects_names_that_do_not_parse_back(names):
+    with pytest.raises(InputError, match="variable name"):
+        DivisorGerm(names, Poly.variable(2, 0))
+
+
+def test_facts_are_computed_once_per_germ():
+    D = make(["x", "y"], "x^2 - y^3")
+    assert euler_field(D) is euler_field(D)
+    assert is_free(D) is is_free(D)
+    assert set(D.facts) == {"euler_field", "is_free"}
+    # another germ with the same h keeps its own facts
+    E = make(["x", "y"], "x^2 - y^3")
+    assert not E.facts and euler_field(E) is not euler_field(D)
+
+
 def test_jacobian_ideal():
     D = make(["x", "y"], "x*y")
     assert set(jacobian_ideal(D)) == {D.poly("x"), D.poly("y")}

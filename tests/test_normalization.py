@@ -10,7 +10,7 @@ from logres.errors import InputError
 from logres.poly import Poly, parse
 from logres.germs import DivisorGerm
 from logres.fractional import FractionalIdeal
-from logres.residues import MeroFraction, residue_module
+from logres.residues import MeroFraction, residue_module, IdempotentData
 from logres.normalization import (BranchParam, puiseux_rational,
                                   normalization_from_branches,
                                   normalization_from_smooth_factors,
@@ -162,15 +162,16 @@ def test_suspension_extends_curve_data():
 def test_smooth_factor_route_matches_branch_route():
     D = DivisorGerm(["x", "y"], "x*y")
     nd_b = normalization_from_branches(D)
-    nd_f = normalization_from_smooth_factors(D, [D.poly("x"), D.poly("y")])
+    nd_f = normalization_from_smooth_factors(
+        D, IdempotentData(D, [D.poly("x"), D.poly("y")]))
     assert nd_b.weak_ring.equals(nd_f.weak_ring)
     assert D.ideal_equal_mod_h(nd_b.conductor_gens, nd_f.conductor_gens)
 
 
 def test_smooth_factor_route_rejects_singular_factor():
     W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
-    with pytest.raises(InputError):
-        normalization_from_smooth_factors(W, [W.h])
+    with pytest.raises(InputError, match="smooth"):
+        normalization_from_smooth_factors(W, IdempotentData(W, [W.h]))
 
 
 def test_normalization_unsupported_class():

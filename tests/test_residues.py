@@ -191,23 +191,21 @@ def test_idempotents_node():
 
 def test_direct_sum_node_and_planes():
     D = node()
-    ok, _ = direct_sum_check(D, [D.poly("x"), D.poly("y")])
-    assert ok
+    assert direct_sum_check(D, IdempotentData(D, [D.poly("x"), D.poly("y")]))
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
-    okz, _ = direct_sum_check(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")])
-    assert okz
+    assert direct_sum_check(
+        Z, IdempotentData(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")]))
 
 
 def test_direct_sum_triple_line_fails():
     D = DivisorGerm(["x", "y"], "x*y*(x-y)")
-    ok, _ = direct_sum_check(D, [D.poly("x"), D.poly("y"), D.poly("x - y")])
-    assert not ok
+    assert not direct_sum_check(
+        D, IdempotentData(D, [D.poly("x"), D.poly("y"), D.poly("x - y")]))
 
 
 def test_direct_sum_single_smooth_factor():
     S = DivisorGerm(["x", "y"], "x")
-    ok, _ = direct_sum_check(S, [S.poly("x")])
-    assert ok
+    assert direct_sum_check(S, IdempotentData(S, [S.poly("x")]))
 
 
 def test_restrict_guard():

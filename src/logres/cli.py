@@ -109,7 +109,7 @@ def main(argv=None):
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_corpus(args)
-    except (InputError, ParseError, FileNotFoundError) as e:
+    except (InputError, ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConsistencyError as e:

@@ -437,9 +437,11 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     # nd_factors is set only when every factor is smooth; then the normalization
     # is the disjoint union of the components, the idempotent module is O~,
     # and R_D equals it iff (C) holds, which by the main theorem forces
-    # normal crossing in codimension one, here pairwise transversality
+    # normal crossing in codimension one, here pairwise transversality; with
+    # smooth factors (B) is always decided, by the smooth, curve or
+    # arrangement route, and each of them is that transversality
     if ds_verdict is not None and nd_factors is not None:
-        transversal = _arrangement_nc_in_codim1(D, idem.factors)
+        transversal = b_verdict == TRUE
         coherent = (ds_verdict == TRUE) == (c_verdict == TRUE and transversal)
         if not coherent:
             raise ConsistencyError("direct-sum verdict incoherent with "

@@ -104,9 +104,10 @@ class DivisorGerm:
 
     @cached_property
     def jacobian_pullback(self):
-        """Generators of the preimage of J_D in the ambient ring: h and its
-        partials."""
-        return (self.h,) + self.partials
+        """Generators of the preimage of J_D in the ambient ring: the partials
+        of h, then h, the key order of jacobian_gens, so the two share one
+        cached local standard basis."""
+        return self.partials + (self.h,)
 
 
 def once_per_germ(fn):

@@ -24,11 +24,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappush, heappop
+from itertools import product
 from operator import add
 
 from .errors import EngineError
-from .poly import (Poly, Order, exp_mul, exp_div, exp_lcm, exp_deg, exact_div,
-                   poly_gcd)
+from .poly import Poly, Order, exp_mul, exp_div, exp_lcm, exp_deg
 
 ONE = Fraction(1)
 
@@ -729,40 +729,37 @@ def min_generators_local(vecs, extra=()):
     return mu, selected
 
 
+def _local_leads(gens, n):
+    """Leading exponents of the cached local standard basis of the ideal of
+    the nonzero gens; empty for the zero ideal."""
+    key = tuple(g for g in gens if not g.is_zero)
+    if not key:
+        return []
+    return [e.lead[1] for e in _std_cached(key, Order("ds", n))]
+
+
 def local_colength(gens, n):
     """Dimension over Q of the local ring at the origin modulo the ideal,
-    or None when infinite.  Counts standard monomials under the local
-    standard-basis staircase."""
-    order = Order("ds", n)
-    basis = std_ideal(tuple(gens), order)
-    if not basis:
-        return None
-    leads = [order.leading_exp(p) for p in basis]
+    or None when infinite; 0 for the unit ideal.  Counts standard monomials
+    under the local standard-basis staircase."""
+    leads = _local_leads(gens, n)
     box = []
     for i in range(n):
         pure = [e[i] for e in leads if all(e[j] == 0 for j in range(n) if j != i)]
         if not pure:
             return None
         box.append(min(pure))
-    count = 0
-    stack = [()]
-    for i in range(n):
-        stack = [e + (k,) for e in stack for k in range(box[i])]
-    for e in stack:
-        if not any(exp_div(e, le) is not None for le in leads):
-            count += 1
-    return count
+    return sum(1 for e in product(*map(range, box))
+               if not any(exp_div(e, le) is not None for le in leads))
 
 
 def local_dim(gens, n):
     """Dimension at the origin of the vanishing locus: the maximal number of
     variables meeting no leading monomial of a local standard basis.
     Returns -1 for the (locally) unit ideal."""
-    order = Order("ds", n)
-    basis = std_ideal(tuple(gens), order)
-    if not basis:
+    leads = _local_leads(gens, n)
+    if not leads:
         return n
-    leads = [order.leading_exp(p) for p in basis]
     if any(exp_deg(e) == 0 for e in leads):
         return -1
     best = -1
@@ -844,99 +841,71 @@ class RadicalVerdict:
     witness   -- for not_radical: (g, k) with g outside the ideal locally
                  but g^k inside; None otherwise
     method    -- which certification path decided
-    seed      -- PRNG seed used by the heuristic path (reproducibility)
     """
 
-    __slots__ = ("status", "witness", "method", "seed")
+    __slots__ = ("status", "witness", "method")
 
-    def __init__(self, status, witness=None, method="", seed=None):
+    def __init__(self, status, witness=None, method=""):
         self.status = status
         self.witness = witness
         self.method = method
-        self.seed = seed
 
     def __repr__(self):
         return f"RadicalVerdict({self.status}, method={self.method!r})"
 
 
-def _is_zero_dimensional(basis, order, n):
-    if not basis:
-        return False
-    leads = [order.leading_exp(p) for p in basis]
-    for i in range(n):
-        if not any(all(e[j] == 0 for j in range(n) if j != i) and e[i] > 0
-                   for e in leads):
-            return False
-    return True
-
-
-def _univariate_in(p, i):
-    return all(all(k == 0 for j, k in enumerate(e) if j != i) for e in p.terms)
-
-
-def _squarefree_univariate(f, i):
-    g = poly_gcd(f, f.diff(i))
-    sf = exact_div(f, g)
-    assert sf is not None
-    return sf
-
-
-# the highest power of a radical witness candidate tried before giving up
-_WITNESS_POWER_CAP = 200
-
-
-def _power_in_local(g, gens, order_local):
+def _power_in_local(g, gens, order_local, bound):
+    """The least k <= bound with g^k in the local ideal of gens; the caller
+    knows that g^bound lies there."""
     p = g
-    for k in range(1, _WITNESS_POWER_CAP + 1):
+    for k in range(1, bound + 1):
         if ideal_contains(p, gens, order_local):
             return k
         p = p * g
-    raise EngineError("no power of the candidate witness entered the ideal")
+    raise EngineError(f"the power {bound} of the candidate witness is not "
+                      f"in the ideal")
 
 
 def radical_test(gens, n, seed=0):
     """Decide whether the ideal generated by gens is radical in the local ring
-    at the origin.  Zero-dimensional ideals are decided exactly (Seidenberg:
-    adjoin squarefree parts of the univariate eliminants); monomial ideals are
-    decided combinatorially; otherwise a seeded hyperplane-slice heuristic
-    proposes witnesses which are then certified or the test returns undecided.
-    Every radical/not_radical verdict carries explicit membership witnesses.
+    at the origin.
+
+    An ideal of finite local colength c is decided exactly: the quotient is
+    an Artinian local ring, which is reduced iff it is a field, i.e. iff
+    c == 1; otherwise the first variable outside the ideal is a witness,
+    with a power at most c because m^c lies in the ideal.  Monomial ideals
+    are decided combinatorially; otherwise a seeded hyperplane-slice
+    heuristic proposes witnesses which are then certified or the test
+    returns undecided.  Every radical/not_radical verdict carries explicit
+    membership witnesses.
     """
     gens = tuple(g for g in gens if not g.is_zero)
-    global_order = Order("degrevlex", n)
-    local_order = Order("ds", n)
-    gb = std_ideal(gens, global_order)
-    if not gb:
+    if not gens:
         return RadicalVerdict("radical", method="zero ideal")
-    if is_unit_ideal(list(gens), local_order):
+    local_order = Order("ds", n)
+    c = local_colength(gens, n)
+    if c == 0:
         # the germ at the origin is the unit ideal; trivially radical there
         return RadicalVerdict("radical", method="unit at origin")
-
-    if _is_zero_dimensional(gb, global_order, n):
-        sqfs = []
-        for i in range(n):
-            elim = eliminate(list(gb), [j for j in range(n) if j != i], n)
-            uni = [p for p in elim if _univariate_in(p, i) and not p.is_constant()]
-            if not uni:
-                raise EngineError("zero-dimensional ideal without eliminant")
-            f = min(uni, key=lambda p: p.degree_in(i))
-            sqfs.append(_squarefree_univariate(f, i))
-        radical_gens = list(gb) + sqfs
-        for g in std_ideal(tuple(radical_gens), global_order):
-            if not ideal_contains(g, gens, local_order):
-                k = _power_in_local(g, gens, local_order)
-                return RadicalVerdict("not_radical", witness=(g, k),
-                                      method="zero-dimensional")
+    if c == 1:
         return RadicalVerdict("radical", method="zero-dimensional")
+    if c is not None:
+        x = next(x for x in (Poly.variable(n, i) for i in range(n))
+                 if not ideal_contains(x, gens, local_order))
+        k = _power_in_local(x, gens, local_order, c)
+        return RadicalVerdict("not_radical", witness=(x, k),
+                              method="zero-dimensional")
 
+    gb = std_ideal(gens, Order("degrevlex", n))
     if all(len(p.terms) == 1 for p in gb):
         # monomial ideal: radical iff every minimal generator is squarefree
         for p in gb:
             e = next(iter(p.terms))
-            if any(k > 1 for k in e):
+            if max(e) > 1:
                 root = Poly.monomial(n, tuple(min(k, 1) for k in e))
                 if not ideal_contains(root, gens, local_order):
-                    k = _power_in_local(root, gens, local_order)
+                    # root^max(e) is a multiple of the generator
+                    k = _power_in_local(root, gens, local_order, max(e))
                     return RadicalVerdict("not_radical", witness=(root, k),
                                           method="monomial")
         return RadicalVerdict("radical", method="monomial")
@@ -958,6 +927,5 @@ def radical_test(gens, n, seed=0):
             p = p * g
             if ideal_contains(p, gens, local_order):
                 return RadicalVerdict("not_radical", witness=(g, k),
-                                      method="witness search", seed=seed)
-    return RadicalVerdict("undecided", method="witness search exhausted",
-                          seed=seed)
+                                      method="witness search")
+    return RadicalVerdict("undecided", method="witness search exhausted")

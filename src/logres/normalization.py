@@ -741,21 +741,47 @@ DEFAULT_BRANCH_TRUNCATION = 48
 
 def branches_from_json(text, D):
     """Branch list from the JSON format
-    [{"param": {"x": [[3, "1"]], "y": [[2, "1"]]}, "truncation": 16}, ...]."""
-    data = json.loads(text)
+    [{"param": {"x": [[3, "1"]], "y": [[2, "1"]]}, "truncation": 16}, ...]:
+    exponents are integers >= 0, coefficients rationals given as strings or
+    integers, and the truncation an integer >= 1.  A malformed file raises
+    InputError naming the first bad entry."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise InputError(f"branch file is not JSON: {e}") from None
     if not isinstance(data, list):
         raise InputError("branch file must contain a list")
     name_to_idx = {nm: i for i, nm in enumerate(D.names)}
     out = []
-    for entry in data:
-        param = entry.get("param")
-        if not isinstance(param, dict):
-            raise InputError("branch entry without a param table")
-        trunc = int(entry.get("truncation", DEFAULT_BRANCH_TRUNCATION))
+    for k, entry in enumerate(data):
+        where = f"branch entry {k}"
+        if not isinstance(entry, dict) or not isinstance(entry.get("param"), dict):
+            raise InputError(f"{where} is not an object with a param table")
+        trunc = entry.get("truncation", DEFAULT_BRANCH_TRUNCATION)
+        if type(trunc) is not int or trunc < 1:
+            raise InputError(f"{where}: truncation {trunc!r} is not an "
+                             f"integer >= 1")
         series = {}
-        for nm, pairs in param.items():
+        for nm, pairs in entry["param"].items():
             if nm not in name_to_idx:
-                raise InputError(f"unknown variable {nm!r} in branch file")
-            series[name_to_idx[nm]] = {int(e): Fraction(c) for e, c in pairs}
+                raise InputError(f"{where}: unknown variable {nm!r}")
+            series[name_to_idx[nm]] = _series_from_json(
+                pairs, f"{where}, variable {nm!r}")
         out.append(BranchParam(series, trunc))
     return out
+
+
+def _series_from_json(pairs, where):
+    """{exponent: Fraction} from a list of [exponent, coefficient] pairs."""
+    series = {}
+    for pair in pairs if isinstance(pairs, list) else [pairs]:
+        try:
+            e, c = pair
+            if type(e) is not int or e < 0:
+                raise ValueError
+            series[e] = Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"{where}: {pair!r} is not an [exponent, "
+                             f"coefficient] pair of an integer >= 0 and a "
+                             f"rational") from None
+    return series

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from logres.cli import main
 from logres.corpus import run_corpus, corpus_names, CORPUS
 
@@ -99,6 +101,48 @@ def test_analyze_branches_file_not_on_curve_exit_2(tmp_path, capsys):
                  "--branches", str(path)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_analyze_witness_power_above_200_exit_0(capsys):
+    code = main(["analyze", "--vars", "x,y", "--poly", "y^2+x^202",
+                 "--format", "json"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdicts"]["jacobian_radical"] == "false"
+    assert "power 201" in data["witnesses"]["condition_D"]
+
+
+def _cusp_branch(**changes):
+    entry = {"param": {"x": [[3, "1"]], "y": [[2, "1"]]}}
+    entry.update(changes)
+    return json.dumps([entry])
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(b"\xff[", "utf-8", id="not-utf-8"),
+    pytest.param("{not json", "not JSON", id="not-json"),
+    pytest.param("[1]", "branch entry 0", id="entry-not-object"),
+    pytest.param(_cusp_branch(param={"x": [[3, "abc"]], "y": [[2, "1"]]}),
+                 "[3, 'abc'] is not", id="coefficient"),
+    pytest.param(_cusp_branch(truncation="many"), "'many'",
+                 id="truncation-text"),
+    pytest.param(_cusp_branch(param={"x": [[-3, "1"]], "y": [[2, "1"]]}),
+                 "[-3, '1'] is not", id="negative-exponent"),
+    pytest.param(_cusp_branch(truncation=0), "truncation 0",
+                 id="truncation-0"),
+    pytest.param(_cusp_branch(param={"x": 3, "y": [[2, "1"]]}),
+                 "'x': 3 is not", id="table-not-list"),
+    pytest.param(_cusp_branch(param={"x": [[3, "1", 4]], "y": [[2, "1"]]}),
+                 "[3, '1', 4] is not", id="not-a-pair"),
+])
+def test_analyze_malformed_branches_file_exit_2(tmp_path, capsys, text,
+                                                message):
+    path = tmp_path / "branches.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main(["analyze", "--vars", "x,y", "--poly", "x^2 - y^3",
+                 "--branches", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_corpus_filter_no_match_exit_2(capsys):

@@ -67,6 +67,14 @@ def test_condition_D_examples():
     assert check_condition_D(F)[0] == "false"
 
 
+def test_condition_D_witness_power_above_200():
+    # A_201: the Tjurina ideal is <y, x^201>, of local colength 201
+    A = DivisorGerm(["x", "y"], "y^2+x^202")
+    verdict, why, rv = check_condition_D(A)
+    assert verdict == "false"
+    assert rv.witness == (A.poly("x"), 201) and "power 201" in why
+
+
 def test_normal_crossing_at_origin():
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
     ok, _ = check_normal_crossing_at_origin(
@@ -232,9 +240,10 @@ def test_analyze_rejects_empty_factor_list():
 # the work each fact costs, wrapped where it is done: log_derivations
 # inside is_free, the division by the partials inside euler_field, the
 # curve criterion behind its per-germ memo, the factorization check, the
-# idempotents, and the comparison of fractional ideals
+# idempotents, the comparison of fractional ideals, and the transversality
+# check of a smooth arrangement
 WORK = ("log_derivations", "euler_division", "curve_criterion",
-        "validate_factorization", "IdempotentData", "equals")
+        "validate_factorization", "IdempotentData", "equals", "arrangement")
 
 
 def _count_work(monkeypatch):
@@ -253,7 +262,8 @@ def _count_work(monkeypatch):
             (curve, "__wrapped__", "curve_criterion"),
             (residues, "validate_factorization", "validate_factorization"),
             (residues.IdempotentData, "__init__", "IdempotentData"),
-            (FractionalIdeal, "equals", "equals")):
+            (FractionalIdeal, "equals", "equals"),
+            (criteria, "_arrangement_nc_in_codim1", "arrangement")):
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
     # as in a fresh process: the first R_D of the germ is computed and
     # certified
@@ -265,9 +275,11 @@ def _count_work(monkeypatch):
     ("xy", "x^2 - y^3", None,
      {"log_derivations": 1, "euler_division": 1, "curve_criterion": 1}),
     ("xyz", "x*y*z", "x;y;z",
-     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3}),
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
+      "arrangement": 1}),
     ("xyz", "x*y*(x+y)*(x+y*z)", "x;y;x+y;x+y*z",
-     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3}),
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
+      "arrangement": 1}),
 ])
 def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
                                          expected):

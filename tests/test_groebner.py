@@ -1,8 +1,13 @@
 """Engine tests: bases, normal forms, syzygies, quotients, radical test."""
 
+import random
 from fractions import Fraction
 
-from logres.poly import Poly, Order, parse
+import pytest
+
+from logres import groebner, poly
+from logres.corpus import CORPUS
+from logres.poly import Poly, Order, parse, poly_gcd, exact_div
 from logres.groebner import (Vec, ModOrder, standard_basis, normal_form,
                              division_certificate, syzygies, ideal_quotient,
                              saturation, eliminate, intersect_ideals,
@@ -513,3 +518,94 @@ def test_in_place_division_matches_copying_reference():
             assert unit.constant_term() != 0
             assert _combination(quots, reducers, rem) == f.mul_poly(unit)
             assert mora_nf(f, reducers, mo, want_cert=False)[0] == rem
+
+
+# The plane curves of the corpus and of the benchmark, and A_201, whose
+# witness needs a power above 200.
+REFERENCE_CURVES = sorted({e["poly"] for e in CORPUS if len(e["vars"]) == 2} | {
+    "x^3+y^4", "x^3+y^5", "x^5-y^7", "x*y*(x-y)*(x+y)", "x^2+y^2", "x^2-y^5",
+    "x^3-y^4", "y^2+x^202"})
+
+
+def _seidenberg_status(gens, n):
+    """Seidenberg's route, the reference for a globally zero-dimensional
+    ideal: adjoining the squarefree part of the univariate eliminant in each
+    variable gives the radical, and the ideal is radical at the origin iff
+    the radical lies in it locally."""
+    glob = Order("degrevlex", n)
+    gb = std_ideal(tuple(gens), glob)
+    sqfs = []
+    for i in range(n):
+        elim = eliminate(list(gb), [j for j in range(n) if j != i], n)
+        f = min((p for p in elim if not p.is_constant()),
+                key=lambda p: p.degree_in(i))
+        sqfs.append(exact_div(f, poly_gcd(f, f.diff(i))))
+    local = Order("ds", n)
+    radical = std_ideal(gb + tuple(sqfs), glob)
+    if all(ideal_contains(g, gens, local) for g in radical):
+        return "radical"
+    return "not_radical"
+
+
+def _assert_least_witness(rv, gens, n):
+    g, k = rv.witness
+    local = Order("ds", n)
+    assert not ideal_contains(g, gens, local)
+    assert ideal_contains(g ** k, gens, local)
+    assert not ideal_contains(g ** (k - 1), gens, local)
+
+
+def _zero_dimensional_gens(rng, n):
+    """Generators vanishing at the origin whose degrevlex leads include a
+    pure power of each variable, so the ideal is globally zero-dimensional,
+    and sometimes one more generator."""
+    gens = []
+    for i in range(n):
+        a = rng.randint(1, 3)
+        lower = _random_poly(rng, n, a - 1, rng.randint(0, 3))
+        lower = lower - Poly.const(n, lower.constant_term())
+        gens.append(Poly.variable(n, i) ** a + lower)
+    if rng.random() < 0.5:
+        extra = _random_poly(rng, n, 2, 3)
+        gens.append(extra - Poly.const(n, extra.constant_term()))
+    return tuple(g for g in gens if not g.is_zero)
+
+
+def _reference_cases():
+    for text in REFERENCE_CURVES:
+        h = P(text)
+        yield text, (h.diff(0), h.diff(1), h), 2
+    rng = random.Random(1109)
+    for k in range(30):
+        n = 2 + k % 2
+        yield f"seeded {k}", _zero_dimensional_gens(rng, n), n
+
+
+@pytest.mark.parametrize("label,gens,n", list(_reference_cases()))
+def test_radical_test_matches_seidenberg(label, gens, n):
+    rv = radical_test(gens, n)
+    assert rv.method == "zero-dimensional", label
+    assert rv.status == _seidenberg_status(gens, n), label
+    if rv.status == "not_radical":
+        _assert_least_witness(rv, gens, n)
+
+
+def test_zero_dimensional_radical_test_runs_no_elimination(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapper
+    monkeypatch.setattr(groebner, "eliminate",
+                        counted("eliminate", groebner.eliminate))
+    gcd = counted("poly_gcd", poly.poly_gcd)
+    monkeypatch.setattr(poly, "poly_gcd", gcd)
+    monkeypatch.setattr(groebner, "poly_gcd", gcd, raising=False)
+    for text in ("x^5-y^7", "x^4 + y^5 + x*y^4", "x*y*(x+y)"):
+        h = P(text)
+        assert radical_test((h.diff(0), h.diff(1), h), 2).method == \
+            "zero-dimensional"
+    assert radical_test((P("x^2"), P("y^3 + x*y")), 2).status == "not_radical"
+    assert calls == []

@@ -13,6 +13,10 @@ The module scan takes the ``_``-prefixed functions, classes and assignment
 targets at the top level of each module (dunders aside), and counts one as
 read when any module loads it by name or as an attribute; an import alone is
 not a read.
+
+The import scan takes the names each module except ``__init__`` (whose
+imports are the package's exports) binds by an import, ``__future__``
+features aside, and counts one as read when the module loads it by name.
 """
 
 import ast
@@ -152,3 +156,47 @@ def test_scan_sees_unread_private_names():
                "b": "from a import _g\n"
                     "x = a._C\n"}
     assert unread_private_names(sources) == [("a", "_L"), ("a", "_f"), ("a", "_g")]
+
+
+def unread_imports(sources=None):
+    """(module, name) for every name a module imports and never loads;
+    sources maps module names to their text, the package less __init__ by
+    default."""
+    if sources is None:
+        sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))
+                   if p.stem != "__init__"}
+    out = []
+    for m, text in sources.items():
+        tree = ast.parse(text)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, (ast.Load, ast.Del))}
+        out.extend((m, name) for name in sorted(imported - read))
+    return out
+
+
+def test_no_unread_imports():
+    found = unread_imports()
+    assert not found, "imported and never read: " + ", ".join(
+        f"{m}.{n}" for m, n in found)
+
+
+def test_scan_sees_unread_imports():
+    sources = {"a": "from __future__ import annotations\n"
+                    "import json, os.path\n"
+                    "from .poly import Poly, parse as p, exact_div\n"
+                    "x = json.loads(p)\n"}
+    assert unread_imports(sources) == [("a", "Poly"), ("a", "exact_div"),
+                                       ("a", "os")]
+    # the helpers of Seidenberg's route left imported in groebner
+    text = (SRC / "groebner.py").read_text().replace(
+        "from .errors import", "from .poly import exact_div, poly_gcd\n"
+        "from .errors import", 1)
+    assert unread_imports({"groebner": text}) == [
+        ("groebner", "exact_div"), ("groebner", "poly_gcd")]

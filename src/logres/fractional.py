@@ -16,35 +16,57 @@ import random
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div, poly_gcd
 from .groebner import (ideal_quotient, division_certificate, standard_basis,
-                       ModOrder)
+                       ModOrder, leads_dim)
 
 NZD_TRIAL_BUDGET = 32
 
 
+# (h, q) -> whether q is a nonzerodivisor mod h; only the verdicts are kept
 _NZD_CACHE = {}
+
+
+def is_nzd(D, q):
+    """Whether q is a nonzerodivisor mod h in the local ring at the origin.
+
+    O/<h> is a hypersurface ring, so it is Cohen-Macaulay, and by the
+    unmixedness theorem its associated primes are its minimal primes, each
+    of dimension n-1.  So q is a zero divisor iff it vanishes on a whole
+    component of {h = 0} at the origin, iff dim_0 O/<h, q> = n-1; otherwise
+    that dimension is at most n-2 (-1 for a unit q).  The dimension is read
+    off the leads of a local standard basis of <h, q>, computed outside the
+    shared standard-basis cache; only the verdict is memoised."""
+    if q.is_zero:
+        return False
+    if q.constant_term() != 0:
+        return True
+    key = (D.h, q)
+    if key not in _NZD_CACHE:
+        mo = ModOrder(D.local_order)
+        leads = [mo.lead(v)[1] for v in standard_basis([D.h, q], mo)]
+        _NZD_CACHE[key] = leads_dim(leads, D.n) <= D.n - 2
+    return _NZD_CACHE[key]
 
 
 def nzd_witness(D, q):
     """None when q is a nonzerodivisor mod h; otherwise a witness w with
     w*q in <h> but w not in <h> locally.
 
-    For squarefree h the zero divisors mod h are the elements sharing an
-    irreducible factor with h that vanishes at the origin, so the test is
-    gcd(q, h)(0) = 0 with witness h/gcd.  (The quotient characterization
-    (<h> : q) = <h> is kept as an independent oracle, see
-    nzd_witness_quotient.)"""
+    The verdict is is_nzd's.  Only for a zero divisor is the witness
+    computed, as h/gcd(q, h): for squarefree h the zero divisors mod h are
+    the elements sharing with h an irreducible factor that vanishes at the
+    origin (a local branch of an irreducible polynomial is Zariski dense in
+    its zero set), and h/gcd is nonzero on that factor.  The quotient
+    characterization (<h> : q) = <h> is kept as an independent oracle, see
+    nzd_witness_quotient."""
     if q.is_zero:
         return Poly.const(D.n, 1)
-    key = (D.h, q)
-    if key not in _NZD_CACHE:
-        g = poly_gcd(q, D.h)
-        if g.constant_term() != 0:
-            _NZD_CACHE[key] = None
-        else:
-            w = exact_div(D.h, g)
-            assert w is not None
-            _NZD_CACHE[key] = w
-    return _NZD_CACHE[key]
+    if is_nzd(D, q):
+        return None
+    g = poly_gcd(q, D.h)
+    w = exact_div(D.h, g)
+    if g.constant_term() != 0 or w is None:
+        raise EngineError("the dimension and gcd nonzerodivisor tests disagree")
+    return w
 
 
 def nzd_witness_quotient(D, q):
@@ -91,7 +113,7 @@ def find_nzd_in(D, gens, seed=0):
             continue
         seen.add(cand)
         count += 1
-        if nzd_witness(D, cand) is None:
+        if is_nzd(D, cand):
             return cand
         if count >= NZD_TRIAL_BUDGET:
             return None
@@ -116,8 +138,8 @@ class FractionalIdeal:
         self.germ = germ
         self.seed = seed
         den = den if isinstance(den, Poly) else Poly.const(germ.n, den)
-        w = nzd_witness(germ, den)
-        if w is not None:
+        if not is_nzd(germ, den):
+            w = nzd_witness(germ, den)
             raise InputError(
                 f"denominator {poly_str(den, germ.names)} is a zero divisor mod h "
                 f"(witness {poly_str(w, germ.names)})")
@@ -137,8 +159,8 @@ class FractionalIdeal:
             raise InputError("no generators")
         dens = []
         for _, q in pairs:
-            w = nzd_witness(D, q)
-            if w is not None:
+            if not is_nzd(D, q):
+                w = nzd_witness(D, q)
                 raise InputError(
                     f"{poly_str(q, D.names)} is a zero divisor mod h "
                     f"(witness {poly_str(w, D.names)})")

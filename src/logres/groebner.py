@@ -668,16 +668,6 @@ def ideal_quotient(I, J, order):
     return gens
 
 
-def saturation(I, f, order):
-    """(I : f^infinity), iterating quotients until stable."""
-    cur = list(I)
-    while True:
-        nxt = ideal_quotient(cur, [f], order)
-        if ideal_equal(cur, nxt, Order("degrevlex", f.n)):
-            return nxt
-        cur = nxt
-
-
 def _extend(p, extra):
     return Poly._raw(p.n + extra, {e + (0,) * extra: c for e, c in p.terms.items()})
 
@@ -753,11 +743,11 @@ def local_colength(gens, n):
                if not any(exp_div(e, le) is not None for le in leads))
 
 
-def local_dim(gens, n):
-    """Dimension at the origin of the vanishing locus: the maximal number of
-    variables meeting no leading monomial of a local standard basis.
-    Returns -1 for the (locally) unit ideal."""
-    leads = _local_leads(gens, n)
+def leads_dim(leads, n):
+    """Dimension at the origin of the vanishing locus of an ideal, read off
+    the leading exponents of a local standard basis of it: the maximal
+    number of variables meeting no lead.  n for no leads (the zero ideal),
+    -1 when a lead is constant (the locally unit ideal)."""
     if not leads:
         return n
     if any(exp_deg(e) == 0 for e in leads):
@@ -770,6 +760,13 @@ def local_dim(gens, n):
         if not any(all(i in subset for i, k in enumerate(e) if k) for e in leads):
             best = len(subset)
     return best
+
+
+def local_dim(gens, n):
+    """Dimension at the origin of the vanishing locus of the ideal of gens,
+    from its cached local standard basis.  Returns -1 for the (locally)
+    unit ideal."""
+    return leads_dim(_local_leads(gens, n), n)
 
 
 # ---------------------------------------------------------------------------

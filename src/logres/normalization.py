@@ -31,7 +31,7 @@ from math import gcd as int_gcd
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, ZERO, ONE
 from .groebner import local_colength, kernel_basis
-from .fractional import FractionalIdeal, nzd_witness
+from .fractional import FractionalIdeal, is_nzd
 
 MAX_EXPANSION_DEPTH = 64
 
@@ -661,7 +661,7 @@ def _denominator_form(D, cvars, branches):
     schedule that is a nonzerodivisor with valuations readable at the
     branches' truncation."""
     for ell in _line_schedule(D, cvars):
-        if nzd_witness(D, ell) is not None:
+        if not is_nzd(D, ell):
             continue
         try:
             return ell, [_branch_valuation(pullback(ell, b, D), "a linear form")

@@ -596,9 +596,3 @@ def squarefree_check(h, partials=None):
         if g.is_constant():
             return True
     return g.is_constant()
-
-
-def is_unit_local(p):
-    """Units of the local ring at the origin are exactly the elements with
-    nonzero constant term."""
-    return p.constant_term() != 0

@@ -19,7 +19,7 @@ from .poly import Poly, poly_str, exact_div
 from .groebner import Vec, syzygies, min_generators_local, reduce_poly
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
                     form_is_logarithmic)
-from .fractional import FractionalIdeal, nzd_witness
+from .fractional import FractionalIdeal, is_nzd, nzd_witness
 
 RESIDUE_TRIAL_BUDGET = 32
 
@@ -33,12 +33,11 @@ class MeroFraction:
         self.germ = germ
         self.num = num
         self.den = den
-        if check:
+        if check and not is_nzd(germ, den):
             w = nzd_witness(germ, den)
-            if w is not None:
-                raise InputError(
-                    f"denominator {poly_str(den, germ.names)} is a zero divisor "
-                    f"mod h (witness {poly_str(w, germ.names)})")
+            raise InputError(
+                f"denominator {poly_str(den, germ.names)} is a zero divisor "
+                f"mod h (witness {poly_str(w, germ.names)})")
 
     def equals(self, other):
         """xi/g = xi'/g'  iff  xi*g' - xi'*g in <h> locally."""
@@ -125,7 +124,7 @@ def residue_certificates(omega, D, count=1):
             continue
         seen.add((cert.g, cert.xi))
         trials += 1
-        if nzd_witness(D, cert.g) is None:
+        if is_nzd(D, cert.g):
             if not cert.verify(a, D):
                 raise EngineError("residue certificate failed to re-multiply")
             found.append(cert)
@@ -261,7 +260,7 @@ class IdempotentData:
         # each factor divides h exactly: their product is h up to a constant
         self.parts = tuple(exact_div(D.h, f) for f in self.factors)
         self.g = sum(self.parts, Poly.zero(D.n))
-        if nzd_witness(D, self.g) is not None:
+        if not is_nzd(D, self.g):
             raise EngineError("idempotent denominator is a zero divisor")
         for p in self.parts:
             # e^2 - e = p*(p - g)/g^2; the numerator must be divisible by h

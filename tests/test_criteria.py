@@ -210,6 +210,17 @@ def test_analyze_non_rational_quartic_leaves_C_and_G_undecided():
     assert "normalization" in r["witnesses"]
 
 
+def test_analyze_plane_curve_with_non_rational_tangent_cone_returns():
+    # a free plane curve that is not normal crossing; its tangent cone
+    # contains x^2+y^2, so C and G may stay undecided.  Its nonzerodivisor
+    # tests once ran for minutes in the gcd of h with each candidate.
+    r = analyze_text(["x", "y"], "x^4+x^2*y^2+y^5")
+    v = r.verdicts
+    assert v["free"] == "true"
+    assert v["normal_crossing_at_origin"] == "false"
+    assert v["jacobian_radical"] == "false"
+
+
 def test_report_roundtrip_and_determinism():
     r1 = analyze_text(["x", "y"], "x^2 - y^3")
     r2 = analyze_text(["x", "y"], "x^2 - y^3")
@@ -317,7 +328,8 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # unchanged.  The curves were taken from the code before the sparse kernel,
 # the S-pair pruning and the reducer reuse; the two surfaces, which take the
 # non-free dual path, from the code before the in-place dividend and the
-# generator-product certificate.
+# generator-product certificate; x*y*(x+y+z) from the code before the
+# nonzerodivisor test by local dimension.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "0003ac788881d9a5ba98798b881261bd1abc01861ee56046653828fe183bdac8"),
@@ -329,6 +341,8 @@ GOLDEN_REPORTS = [
      "5b7ff569816f930b7cb576bd097e5b8bacd4587ab5fb1ec808eaf21636938d69"),
     ("x^3+y^3+z^3",
      "8e5606259bdfe1cf99d54e1b187e17000d4d21255fdb111d39067a9e0b1e41db"),
+    ("x*y*(x+y+z)",
+     "1a55e401e3927371857b9e53326a4f05a4380cd367eb9ce4b6ebe3e53cd34eea"),
 ]
 
 

@@ -1,10 +1,15 @@
 """Fractional ideals: construction, duality, inclusion, products."""
 
+import random
+
 import pytest
 
+from logres import fractional, groebner, poly
+from logres.corpus import CORPUS
 from logres.errors import InputError
 from logres.germs import DivisorGerm, jacobian_ideal
-from logres.fractional import (FractionalIdeal, nzd_witness,
+from logres.poly import Poly, poly_gcd
+from logres.fractional import (FractionalIdeal, is_nzd, nzd_witness,
                                nzd_witness_quotient, find_nzd_in)
 
 
@@ -29,6 +34,124 @@ def test_nzd_witness_and_quotient_oracle_agree():
             for w in (fast, slow):
                 assert D.in_h(w * q)
                 assert not D.in_h(w)
+
+
+def gcd_is_nzd(D, q):
+    """The former global test, kept as a reference: for squarefree h, q is a
+    nonzerodivisor mod h iff gcd(q, h) does not vanish at the origin."""
+    return not q.is_zero and poly_gcd(q, D.h).constant_term() != 0
+
+
+def _random_poly(rng, n, degree=2, terms=3):
+    """A random polynomial of low degree with small integer coefficients,
+    the zero polynomial included."""
+    out = Poly.zero(n)
+    for _ in range(terms):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        out = out + Poly.monomial(n, e, rng.randint(-3, 3))
+    return out
+
+
+def _random_candidates(D, factors, rng, count):
+    """Seeded q of every kind: products of factors of h through the origin,
+    unit multiples of them, multiples of h, and random polynomials, with
+    and without a constant term."""
+    n = D.n
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0:
+            q = Poly.const(n, 1)
+            for f in rng.sample(factors, rng.randint(1, len(factors))):
+                q = q * f
+        elif kind == 1:
+            u = Poly.const(n, 1) + Poly.variable(n, rng.randrange(n))
+            q = u * rng.choice(factors) * _random_poly(rng, n, degree=1)
+        elif kind == 2:
+            q = D.h * _random_poly(rng, n, degree=1)
+        elif kind == 3:
+            q = _random_poly(rng, n)
+        else:
+            q = _random_poly(rng, n)
+            q = q - Poly.const(n, q.constant_term())
+        yield q
+
+
+def _assert_nzd_verdicts_agree(D, q):
+    fast = is_nzd(D, q)
+    assert fast == gcd_is_nzd(D, q), D.str_of(q)
+    assert fast == (nzd_witness_quotient(D, q) is None), D.str_of(q)
+    w = nzd_witness(D, q)
+    assert fast == (w is None), D.str_of(q)
+    if w is not None:
+        assert D.in_h(w * q)
+        assert not D.in_h(w)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
+def test_is_nzd_matches_gcd_and_quotient_on_seeded_candidates(entry,
+                                                             monkeypatch):
+    monkeypatch.setattr(fractional, "_NZD_CACHE", {})
+    D = DivisorGerm(entry["vars"], entry["poly"])
+    factors = [D.poly(f) for f in entry["factors"].split(";")]
+    assert all(f.constant_term() == 0 for f in factors)
+    rng = random.Random(f"nzd {entry['name']}")
+    for q in _random_candidates(D, factors, rng, 16):
+        _assert_nzd_verdicts_agree(D, q)
+
+
+def test_is_nzd_on_one_variable_germs_and_constants():
+    for h in ("x", "x*(x-1)", "x*(x+2)^2 - x"):
+        D = DivisorGerm(["x"], h)
+        for text in ("x", "x^2 + x", "1 + x", "x - 1", "3", "-1/2", "0",
+                     "x^3"):
+            _assert_nzd_verdicts_agree(D, D.poly(text))
+        assert is_nzd(D, D.poly("x - 1")) and not is_nzd(D, D.poly("x^2"))
+    D = node()
+    assert is_nzd(D, D.poly("5")) and not is_nzd(D, D.poly("0"))
+
+
+def _count_gcd(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    monkeypatch.setattr(fractional, "poly_gcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["node", "cusp", "coordinate-planes",
+                                  "whitney-umbrella", "non-quasihomogeneous"])
+def test_fractional_ideals_compute_no_gcd(name, monkeypatch):
+    entry = next(e for e in CORPUS if e["name"] == name)
+    # the germ's own squarefree check is the one gcd left
+    D = DivisorGerm(entry["vars"], entry["poly"])
+    monkeypatch.setattr(fractional, "_NZD_CACHE", {})
+    calls = _count_gcd(monkeypatch)
+    J = FractionalIdeal(D, jacobian_ideal(D), 1)
+    R = J.dual()
+    FractionalIdeal.make([(p, R.den) for p in R.num], D)
+    assert fractional._NZD_CACHE
+    assert calls == []
+
+
+def test_is_nzd_leaves_the_basis_cache_alone(monkeypatch):
+    monkeypatch.setattr(fractional, "_NZD_CACHE", {})
+    before = groebner._std_cached.cache_info()
+    for entry in CORPUS[:6]:
+        D = DivisorGerm(entry["vars"], entry["poly"])
+        rng = random.Random(entry["name"])
+        qs = [_random_poly(rng, D.n) for _ in range(8)] + list(D.partials)
+        for _ in range(3):
+            for q in qs:
+                is_nzd(D, q)
+    after = groebner._std_cached.cache_info()
+    assert (after.currsize, after.hits, after.misses) == \
+        (before.currsize, before.hits, before.misses)
+    assert all(isinstance(v, bool) for v in fractional._NZD_CACHE.values())
 
 
 def test_make_node_example():

@@ -10,10 +10,10 @@ from logres.corpus import CORPUS
 from logres.poly import Poly, Order, parse, poly_gcd, exact_div
 from logres.groebner import (Vec, ModOrder, standard_basis, normal_form,
                              division_certificate, syzygies, ideal_quotient,
-                             saturation, eliminate, intersect_ideals,
+                             eliminate, intersect_ideals,
                              radical_test, min_generators_local, std_ideal,
                              ideal_contains, ideal_equal, local_colength,
-                             local_dim, kernel_basis, _row_echelon,
+                             local_dim, leads_dim, kernel_basis, _row_echelon,
                              divide_vec, mora_nf, _Elem)
 
 V2 = ["x", "y"]
@@ -120,15 +120,6 @@ def test_ideal_quotients():
     # I : <1> = I
     q2 = ideal_quotient([P("x*y - y^3")], [P("1")], GLOBAL2)
     assert ideal_equal(q2, [P("x*y - y^3")], GLOBAL2)
-
-
-def test_saturation():
-    # strip all powers of y: <x^2 y, x y^2> : y^inf = <x>
-    sat = saturation([P("x^2*y"), P("x*y^2")], P("y"), GLOBAL2)
-    assert ideal_equal(sat, [P("x")], GLOBAL2)
-    # y^2 in the ideal forces the saturation to the unit ideal
-    sat2 = saturation([P("x*y"), P("y^2")], P("y"), GLOBAL2)
-    assert ideal_equal(sat2, [P("1")], GLOBAL2)
 
 
 def test_eliminate():
@@ -257,6 +248,15 @@ def test_local_colength_and_dim():
     assert local_dim([P("x")], 2) == 1
     assert local_dim([P("1 + x")], 2) == -1
     assert local_dim([parse("x", V3), parse("y", V3), parse("x + y", V3)], 3) == 1
+
+
+def test_leads_dim_reads_leads_alone():
+    assert leads_dim([], 3) == 3
+    assert leads_dim([(0, 0, 0), (1, 0, 0)], 3) == -1
+    assert leads_dim([(1, 0, 0), (0, 1, 0)], 3) == 1
+    # {x, z} avoids the lead x*y, {x, y, z} does not
+    assert leads_dim([(1, 1, 0)], 3) == 2
+    assert leads_dim([(1, 1, 0), (0, 0, 2)], 3) == 1
 
 
 def test_linear_algebra_helpers():

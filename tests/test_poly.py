@@ -7,7 +7,7 @@ import pytest
 
 from logres.errors import ParseError
 from logres.poly import (Poly, Order, parse, poly_str, poly_gcd, exact_div,
-                         squarefree_check, is_unit_local)
+                         squarefree_check)
 from logres.groebner import ideal_quotient, ideal_equal
 
 
@@ -106,13 +106,6 @@ def test_differentiate_leibniz_randomized():
         assert p * q == q * p
         for i in range(2):
             assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
-
-
-def test_is_unit_local():
-    assert is_unit_local(parse("1 + x", ["x"]))
-    assert not is_unit_local(parse("x", ["x"]))
-    # constant term of the cusp's Saito determinant divided by h
-    assert is_unit_local(parse("-6", ["x"]))
 
 
 def test_squarefree():

@@ -8,11 +8,11 @@ from .poly import Poly, Order, parse, poly_str, poly_gcd, exact_div, \
     squarefree_check
 from .groebner import (Vec, ModOrder, standard_basis, normal_form,
                        division_certificate, syzygies, ideal_quotient,
-                       eliminate, intersect_ideals, radical_test,
-                       min_generators_local, local_colength, local_dim)
+                       radical_test, min_generators_local, local_colength,
+                       local_dim)
 from .germs import (DivisorGerm, VectorField, SaitoMatrix, LogOneForm,
                     EulerField, jacobian_ideal, log_derivations, is_free,
-                    is_euler_homogeneous, euler_field, log_forms_basis)
+                    euler_field, log_forms_basis)
 from .fractional import (FractionalIdeal, is_nzd, nzd_witness,
                          nzd_witness_quotient)
 from .residues import (MeroFraction, residue, residue_certificates,
@@ -22,7 +22,7 @@ from .residues import (MeroFraction, residue, residue_certificates,
 from .normalization import (BranchParam, NormalizationData, puiseux_rational,
                             normalization_from_branches,
                             normalization_from_smooth_factors,
-                            is_weakly_holomorphic, conductor, pullback,
+                            is_weakly_holomorphic, pullback,
                             branches_from_json)
 from .criteria import (DivisorReport, analyze, analyze_text,
                        check_condition_C, check_condition_G,

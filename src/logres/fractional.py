@@ -237,9 +237,6 @@ class FractionalIdeal:
         self._dual = out
         return out
 
-    def is_reflexive(self):
-        return self.dual().dual().equals(self)
-
     def as_ideal_gens(self):
         """For a fractional ideal contained in O_D: polynomial generators of
         the corresponding ideal of O_D (unit factors dropped)."""

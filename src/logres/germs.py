@@ -17,8 +17,8 @@ from functools import cached_property, wraps
 from .errors import InputError, EngineError, ParseError
 from .poly import Poly, Order, parse, poly_str, exact_div, squarefree_check
 from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
-                       is_unit_ideal, syzygies, division_certificate,
-                       min_generators_local, standard_basis)
+                       syzygies, division_certificate, min_generators_local,
+                       standard_basis)
 
 
 class DivisorGerm:
@@ -86,9 +86,6 @@ class DivisorGerm:
     def ideal_equal_mod_h(self, gens1, gens2):
         return ideal_equal(tuple(gens1) + (self.h,),
                            tuple(gens2) + (self.h,), self.local_order)
-
-    def is_unit_mod_h(self, gens):
-        return is_unit_ideal(list(gens) + [self.h], self.local_order)
 
     def in_h(self, f):
         """f in <h> locally."""
@@ -180,7 +177,8 @@ def log_derivations(D):
 
 class SaitoMatrix:
     """n x n matrix whose rows are a candidate basis of Der(-log D), together
-    with the freeness certificate det = unit * h."""
+    with the freeness certificate unit * det = quot * h, where unit(0) != 0
+    and quot(0) != 0."""
 
     def __init__(self, D, fields):
         self.germ = D
@@ -189,33 +187,28 @@ class SaitoMatrix:
             raise InputError("a Saito matrix needs exactly n rows")
         self.rows = tuple(f.coeffs for f in fields)
         self.det = _det([[p for p in row] for row in self.rows])
-        self.unit = None          # quotient det/h when polynomial
-        self.unit_value = None    # (det/h)(0) as a Fraction
         self._certify()
 
     def _certify(self):
+        """Set unit and quot, and unit_value = (det/h)(0) = quot(0)/unit(0)
+        as a Fraction: unit = 1 and quot = det/h when h divides det, else
+        Mora's division certificate of det by h."""
         D = self.germ
         for f in self.fields:
             if not f.is_logarithmic(D):
                 raise InputError("row is not a logarithmic vector field")
         q = exact_div(self.det, D.h)
         if q is not None:
-            self.unit = q
-            self.unit_value = q.constant_term()
+            self.unit, self.quot = Poly.const(D.n, 1), q
         else:
-            # det is in <h> locally with a unit cofactor recovered from the
-            # Mora division certificate u*det = a*h
-            quots, unit, rem = division_certificate(
+            quots, self.unit, rem = division_certificate(
                 self.det, [D.h], ModOrder(D.local_order))
             if not rem.is_zero:
                 raise InputError("det(M) does not lie in <h> at the origin")
-            self.unit_value = quots[0].constant_term() / unit.constant_term()
+            self.quot = quots[0]
+        self.unit_value = self.quot.constant_term() / self.unit.constant_term()
         if self.unit_value == 0:
             raise InputError("det(M)/h vanishes at the origin: no Saito certificate")
-
-    @property
-    def certified(self):
-        return self.unit_value not in (None, 0)
 
 
 def _det(m):
@@ -250,15 +243,12 @@ def is_free(D):
     """Freeness verdict plus a certified Saito matrix when free.
 
     Free iff Der(-log D) needs exactly n local generators; the returned basis
-    carries the determinant certificate det(M) = unit * h."""
+    carries the determinant certificate unit * det(M) = quot * h."""
     fields = log_derivations(D)
     mu, selected = min_generators_local([Vec(f.coeffs) for f in fields])
     if mu != D.n:
         return False, None
-    M = SaitoMatrix(D, [fields[i] for i in selected])
-    if not M.certified:
-        raise EngineError("minimal generator count n without a Saito certificate")
-    return True, M
+    return True, SaitoMatrix(D, [fields[i] for i in selected])
 
 
 class EulerField:
@@ -317,20 +307,20 @@ def _partials_basis(D):
     return _PARTIALS_CACHE[key]
 
 
-def is_euler_homogeneous(D):
-    """h in <dh/dx_1, ..., dh/dx_n> in the local ring at the origin."""
-    return euler_field(D) is not None
-
-
 class LogOneForm:
     """omega = (sum a_i dx_i) / (extra * h) with polynomial a_i and a unit
-    extra factor (1 unless a dual basis needed a non-constant Saito unit)."""
+    extra factor; a constant extra is divided into the a_i, so extra is 1
+    unless a dual basis needed a non-constant Saito quotient."""
 
     __slots__ = ("a", "extra")
 
     def __init__(self, a, extra=None):
+        n = a[0].n
+        if extra is not None and extra.is_constant():
+            c = Fraction(1) / extra.constant_term()
+            a, extra = [p.scale(c) for p in a], None
         self.a = tuple(a)
-        self.extra = extra if extra is not None else Poly.const(a[0].n, 1)
+        self.extra = extra if extra is not None else Poly.const(n, 1)
 
     def is_logarithmic(self, D):
         return form_is_logarithmic(self.a, D)
@@ -354,27 +344,15 @@ def form_is_logarithmic(a, D):
 
 
 def log_forms_basis(M):
-    """Dual basis of logarithmic 1-forms of a certified Saito matrix, from the
-    adjugate: row j of adj(M)^T divided by the unit; the pairing with the
-    fields is verified to be exactly Kronecker delta."""
+    """Dual basis of logarithmic 1-forms of a Saito matrix, from the adjugate
+    and the certificate unit * det = quot * h: form j has the coefficients
+    unit * (row j of adj(M)^T) and the extra factor quot; the pairing with
+    the fields is verified to be exactly Kronecker delta."""
     D = M.germ
-    if not M.certified:
-        raise InputError("log_forms_basis needs a certified Saito matrix")
     adj = _adjugate([[p for p in row] for row in M.rows])
-    forms = []
-    for j in range(D.n):
-        row = [adj[i][j] for i in range(D.n)]  # column j of adj = row j of adj^T
-        if M.unit is not None and M.unit.is_constant():
-            c = M.unit.constant_term()
-            forms.append(LogOneForm([p.scale(Fraction(1) / c) for p in row]))
-        elif M.unit is not None:
-            divided = [exact_div(p, M.unit) for p in row]
-            if all(d is not None for d in divided):
-                forms.append(LogOneForm(divided))
-            else:
-                forms.append(LogOneForm(row, extra=M.unit))
-        else:
-            forms.append(LogOneForm(row, extra=None))
+    # column j of adj = row j of adj^T
+    forms = [LogOneForm([M.unit * adj[i][j] for i in range(D.n)], extra=M.quot)
+             for j in range(D.n)]
     # pairing <delta_i, omega_j> = delta_ij, i.e.
     # sum_k M[i][k]*a_j[k] == kronecker * extra_j * h exactly
     for i in range(D.n):

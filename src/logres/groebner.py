@@ -74,9 +74,6 @@ class Vec:
     def mul_term(self, c, e):
         return Vec([p.mul_term(c, e) for p in self.polys])
 
-    def mul_poly(self, q):
-        return Vec([p * q for p in self.polys])
-
     def total_degree(self):
         return max(p.total_degree() for p in self.polys)
 
@@ -92,7 +89,6 @@ class ModOrder:
     """Order on module monomials (component, exponent).  Rules:
 
       TOP  -- term over position (ring order first, lower component wins ties)
-      POT  -- position over term (lower component dominates)
       ELIM -- every monomial in a component < elim dominates the rest;
               used for syzygy computations
     """
@@ -114,8 +110,6 @@ class ModOrder:
         rk = self.ring.heap_key(e)
         if self.rule == "TOP":
             return rk + (c,)
-        if self.rule == "POT":
-            return (c,) + rk
         return (0 if c < self.elim else 1,) + rk + (c,)
 
     def lead(self, v):
@@ -516,7 +510,7 @@ def standard_basis(gens, mo, transform=False):
     work_mo = mo
     if local and all(all(_is_homogeneous(p) for p in v.polys) for v in vecs_nz):
         # leading terms agree with the global twin on homogeneous input
-        work_mo = ModOrder(Order("degrevlex", n, perm=mo.ring.perm), mo.rule, mo.elim)
+        work_mo = ModOrder(Order("degrevlex", n), mo.rule, mo.elim)
 
     G = _compute_basis(gens, work_mo, transform)
     G = _minimalize(G)
@@ -610,13 +604,6 @@ def ideal_equal(gens1, gens2, order):
             and all(ideal_contains(g, gens2, order) for g in gens1))
 
 
-def is_unit_ideal(gens, order):
-    if not any(gens):
-        return False
-    one = Poly.const(gens[0].n, 1)
-    return ideal_contains(one, gens, order)
-
-
 # ---------------------------------------------------------------------------
 # syzygies and derived operations
 
@@ -666,34 +653,6 @@ def ideal_quotient(I, J, order):
     gens = [s_.polys[0] for s_ in sy if not s_.polys[0].is_zero]
     gens = list(std_ideal(tuple(gens), order)) if gens else []
     return gens
-
-
-def _extend(p, extra):
-    return Poly._raw(p.n + extra, {e + (0,) * extra: c for e, c in p.terms.items()})
-
-
-def _restrict(p, n):
-    return Poly._raw(n, {e[:n]: c for e, c in p.terms.items()})
-
-
-def intersect_ideals(I, J, n):
-    """I * t + J * (1 - t) eliminated in t; the classic intersection trick."""
-    t = Poly.variable(n + 1, n)
-    one = Poly.const(n + 1, 1)
-    gens = [_extend(f, 1) * t for f in I] + [_extend(g, 1) * (one - t) for g in J]
-    elim = eliminate(gens, [n], n + 1)
-    return [_restrict(p, n) for p in elim]
-
-
-def eliminate(gens, drop, n):
-    """Intersection with the subring omitting the dropped variables."""
-    drop = sorted(set(drop))
-    keep = [i for i in range(n) if i not in drop]
-    perm = tuple(drop) + tuple(keep)
-    order = Order("block", n, blocks=(len(drop), len(keep)), perm=perm)
-    basis = std_ideal(tuple(gens), order)
-    out = [p for p in basis if not (p.vars_used() & set(drop))]
-    return out
 
 
 def min_generators_local(vecs, extra=()):

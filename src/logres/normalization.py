@@ -725,12 +725,6 @@ def is_weakly_holomorphic(frac, nd):
     return True
 
 
-def conductor(nd):
-    """The conductor as an ideal of O_D (already certified as a common ideal
-    of O_D and the weakly holomorphic ring)."""
-    return list(nd.conductor_gens)
-
-
 # ---------------------------------------------------------------------------
 # branch files
 

@@ -260,24 +260,15 @@ class Order:
       degrevlex -- global, degree then reverse lexicographic
       lex       -- global lexicographic
       ds        -- local degrevlex (anti-degree-compatible: 1 is largest)
-      block     -- degrevlex on consecutive blocks, first block dominates
-                   (an elimination order for the first block)
-
-    An optional permutation reorders variables before comparison.
     """
 
-    __slots__ = ("kind", "n", "blocks", "perm")
+    __slots__ = ("kind", "n")
 
-    def __init__(self, kind, n, blocks=None, perm=None):
-        if kind not in ("degrevlex", "lex", "ds", "block"):
+    def __init__(self, kind, n):
+        if kind not in ("degrevlex", "lex", "ds"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.n = n
-        self.blocks = tuple(blocks) if blocks else None
-        self.perm = tuple(perm) if perm else None
-        if kind == "block":
-            if not self.blocks or sum(self.blocks) != n:
-                raise ValueError("block sizes must partition the variables")
 
     @property
     def is_global(self):
@@ -288,22 +279,12 @@ class Order:
         to the smallest.  Division pushes one per new term of its dividend;
         building it costs little next to the term's Fraction arithmetic, and
         a memo would hold every exponent the process has reduced."""
-        if self.perm:
-            e = tuple(e[i] for i in self.perm)
         k = self.kind
         if k == "degrevlex":
             return (-sum(e),) + e[::-1]
-        if k == "lex":
-            return tuple(map(neg, e))
         if k == "ds":
             return (sum(e),) + e[::-1]
-        out = ()
-        pos = 0
-        for size in self.blocks:
-            blk = e[pos:pos + size]
-            out += (-sum(blk),) + blk[::-1]
-            pos += size
-        return out
+        return tuple(map(neg, e))
 
     def leading_exp(self, p):
         if p.is_zero:
@@ -316,15 +297,13 @@ class Order:
 
     def __eq__(self, other):
         return (isinstance(other, Order) and self.kind == other.kind
-                and self.n == other.n and self.blocks == other.blocks
-                and self.perm == other.perm)
+                and self.n == other.n)
 
     def __hash__(self):
-        return hash((self.kind, self.n, self.blocks, self.perm))
+        return hash((self.kind, self.n))
 
     def __repr__(self):
-        extra = f", blocks={self.blocks}" if self.blocks else ""
-        return f"Order({self.kind!r}, {self.n}{extra})"
+        return f"Order({self.kind!r}, {self.n})"
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +409,13 @@ def parse(text, names):
     return _Parser(text, list(names)).parse()
 
 
-def poly_str(p, names, order=None):
-    """Deterministic textual form, parseable by `parse`."""
+def poly_str(p, names):
+    """Deterministic textual form, largest degrevlex term first, parseable
+    by `parse`."""
     if p.is_zero:
         return "0"
-    order = order or Order("degrevlex", p.n)
     parts = []
-    for e, c in order.sorted_terms(p):
+    for e, c in Order("degrevlex", p.n).sorted_terms(p):
         factors = []
         for i, k in enumerate(e):
             if k == 1:

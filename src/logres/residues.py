@@ -143,11 +143,8 @@ def residue(omega, D):
     """The residue xi/g of a logarithmic 1-form, as a MeroFraction."""
     cert = residue_certificates(omega, D, count=1)[0]
     den = cert.g
-    if isinstance(omega, LogOneForm) and not omega.extra.is_constant():
+    if isinstance(omega, LogOneForm):
         den = den * omega.extra
-        return MeroFraction(D, cert.xi, den)
-    if isinstance(omega, LogOneForm) and omega.extra.constant_term() != 1:
-        den = den.scale(omega.extra.constant_term())
     return MeroFraction(D, cert.xi, den)
 
 
@@ -266,9 +263,6 @@ class IdempotentData:
             # e^2 - e = p*(p - g)/g^2; the numerator must be divisible by h
             if exact_div(p * (p - self.g), D.h) is None:
                 raise EngineError("idempotent relation e^2 = e failed")
-
-    def fractions(self):
-        return [MeroFraction(self.germ, p, self.g, check=False) for p in self.parts]
 
     def module(self, seed=0):
         """The fractional ideal generated by the idempotents: the direct sum

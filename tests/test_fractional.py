@@ -242,11 +242,12 @@ def test_product_uses_the_construction_seed():
 def test_reflexive():
     D = node()
     J = FractionalIdeal(D, jacobian_ideal(D), 1)
-    assert J.is_reflexive()
+    assert J.dual().dual().equals(J)
     C = cusp()
     Jc = FractionalIdeal(C, jacobian_ideal(C), 1)
-    assert Jc.is_reflexive()
-    assert FractionalIdeal.ring(D).is_reflexive()
+    assert Jc.dual().dual().equals(Jc)
+    ring = FractionalIdeal.ring(D)
+    assert ring.dual().dual().equals(ring)
 
 
 def test_find_nzd_skips_zero_divisors():

@@ -6,8 +6,8 @@ from logres.errors import InputError
 from logres.poly import Poly, exact_div
 from logres.groebner import Vec, ModOrder, normal_form, min_generators_local
 from logres.germs import (DivisorGerm, VectorField, jacobian_ideal,
-                          log_derivations, is_free, is_euler_homogeneous,
-                          euler_field, log_forms_basis)
+                          log_derivations, is_free, euler_field,
+                          log_forms_basis, SaitoMatrix)
 
 
 def make(vars_, text):
@@ -46,7 +46,7 @@ def test_jacobian_ideal():
     C = make(["x", "y"], "x^2 - y^3")
     assert set(jacobian_ideal(C)) == {C.poly("x"), C.poly("y^2")}
     S = make(["x", "y"], "x")
-    assert S.is_unit_mod_h(jacobian_ideal(S))
+    assert S.member_mod_h(S.poly("1"), jacobian_ideal(S))
 
 
 def test_log_derivations_node():
@@ -124,14 +124,14 @@ def test_plane_curves_always_free():
 
 def test_euler_homogeneous():
     C = make(["x", "y"], "x^2 - y^3")
-    assert is_euler_homogeneous(C)
+    assert euler_field(C) is not None
     chi = euler_field(C).normalized()
     # (1/6)(3x d/dx + 2y d/dy)
     assert chi.coeffs[0] == C.poly("1/2*x")
     assert chi.coeffs[1] == C.poly("1/3*y")
     assert chi.apply(C.h) == C.h
-    assert is_euler_homogeneous(make(["x", "y"], "x"))
-    assert not is_euler_homogeneous(make(["x", "y"], "x^4 + y^5 + x*y^4"))
+    assert euler_field(make(["x", "y"], "x")) is not None
+    assert euler_field(make(["x", "y"], "x^4 + y^5 + x*y^4")) is None
 
 
 def test_suspension_jacobian_generation_flags_products():
@@ -171,10 +171,25 @@ def test_log_forms_basis_cusp_pairing():
         assert w.is_logarithmic(C)
 
 
+def test_log_forms_basis_of_a_locally_certified_matrix():
+    # det = x is h = x*(1+y) times a unit only locally: h does not divide it,
+    # and Mora's certificate (1 + y) * det = h carries the dual forms
+    D = make(["x", "y"], "x*(1+y)")
+    x, zero, one = D.poly("x"), D.poly("0"), D.poly("1")
+    M = SaitoMatrix(D, [VectorField([x, zero]), VectorField([zero, one])])
+    assert exact_div(M.det, D.h) is None
+    assert M.unit * M.det == M.quot * D.h and M.unit_value == 1
+    forms = log_forms_basis(M)
+    for i, fld in enumerate(M.fields):
+        for j, w in enumerate(forms):
+            s = sum((c * a for c, a in zip(fld.coeffs, w.a)), Poly.zero(2))
+            assert s == (w.extra * D.h if i == j else Poly.zero(2))
+    assert [w.a for w in forms] == [(D.poly("1 + y"), zero), (zero, D.h)]
+
+
 def test_log_forms_rejects_uncertified():
     D = make(["x", "y"], "x*y")
     with pytest.raises(InputError):
         # rows are logarithmic but the determinant is x^2 y, not unit * h
-        from logres.germs import SaitoMatrix
         bad = SaitoMatrix(D, [VectorField([D.poly("x^2"), D.poly("0")]),
                               VectorField([D.poly("0"), D.poly("y")])])

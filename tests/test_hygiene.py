@@ -17,12 +17,19 @@ not a read.
 The import scan takes the names each module except ``__init__`` (whose
 imports are the package's exports) binds by an import, ``__future__``
 features aside, and counts one as read when the module loads it by name.
+
+The public scan takes the public functions and classes at the top level of
+each module and the public methods of its top-level classes, and counts one
+as read when any module loads it by name or as an attribute, or when the
+benchmark's tracer wraps it; an export from ``__init__`` alone is not a
+read.
 """
 
 import ast
 import pathlib
 
 import logres
+from test_perfbench_names import _traced
 
 SRC = pathlib.Path(logres.__file__).parent
 
@@ -33,7 +40,25 @@ ALLOWED = {
         "and tests pass the germ",
 }
 
+# (module, qualified name) -> why the public name that no module reads stays
+PUBLIC_ALLOWED = {
+    ("residues", "sigma_check"):
+        "the paper's dual residue pairing, an oracle the tests assert",
+    ("fractional", "nzd_witness_quotient"):
+        "the ideal-quotient nonzerodivisor oracle that nzd_witness is "
+        "tested against",
+    ("criteria", "crosscheck_free_equivalences"):
+        "oracle of the proven equivalences for free divisors, used by the "
+        "acceptance tests",
+    ("residues", "MeroFraction.restrict"):
+        "restriction of a residue to a component, used by the acceptance "
+        "tests",
+    ("criteria", "DivisorReport.from_json"):
+        "inverse of to_json, the round trip the report tests check",
+}
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _own_nodes(fn):
@@ -104,12 +129,16 @@ def _private_top_level(tree):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def unread_private_names(sources=None):
-    """(module, name) for every private top-level name that no module reads;
-    sources maps module names to their text, the package by default."""
+def _package_trees(sources=None):
+    """Module name -> syntax tree; sources maps module names to their text,
+    the package by default."""
     if sources is None:
         sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    trees = {m: ast.parse(text) for m, text in sources.items()}
+    return {m: ast.parse(text) for m, text in sources.items()}
+
+
+def _loaded(trees):
+    """The names any of the trees loads or deletes, or reads as attributes."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -117,8 +146,82 @@ def unread_private_names(sources=None):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources=None):
+    """(module, name) for every private top-level name that no module reads;
+    sources maps module names to their text, the package by default."""
+    trees = _package_trees(sources)
+    read = _loaded(trees)
     return sorted((m, name) for m, tree in trees.items()
                   for name in _private_top_level(tree) - read)
+
+
+def _public_defs(tree):
+    """(qualified name, name) of the public top-level functions and classes
+    of a module and of the public methods of its top-level classes."""
+    for node in tree.body:
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def unread_public_names(sources=None, traced=None):
+    """(module, qualified name) for every public definition that no module
+    reads and traced, a list of (module, qualified name), does not name;
+    sources maps module names to their text, the package by default, and
+    traced is the benchmark tracer's list by default."""
+    trees = _package_trees(sources)
+    read = _loaded(trees)
+    skip = set(_traced() if traced is None else traced)
+    return sorted((m, qual) for m, tree in trees.items()
+                  for qual, name in _public_defs(tree)
+                  if name not in read and (m, qual) not in skip)
+
+
+def test_no_unread_public_names():
+    found = [t for t in unread_public_names() if t not in PUBLIC_ALLOWED]
+    assert not found, "public and never read: " + ", ".join(
+        f"{m}.{q}" for m, q in found)
+
+
+def test_public_allowlist_is_current():
+    # an allowlisted name that is now read, or gone, must leave the list
+    assert set(PUBLIC_ALLOWED) <= set(unread_public_names())
+
+
+def test_scan_sees_unread_public_names():
+    sources = {"a": "def f():\n"
+                    "    return g()\n"
+                    "def g():\n"
+                    "    pass\n"
+                    "def h():\n"
+                    "    pass\n"
+                    "def t():\n"
+                    "    pass\n"
+                    "def _p():\n"
+                    "    pass\n"
+                    "class C:\n"
+                    "    def m(self):\n"
+                    "        return self.n()\n"
+                    "    def n(self):\n"
+                    "        def inner():\n"
+                    "            pass\n"
+                    "    def __eq__(self, other):\n"
+                    "        pass\n"
+                    "class _D:\n"
+                    "    def k(self):\n"
+                    "        pass\n",
+               "b": "from a import h\n"
+                    "x = a.C\n"}
+    assert unread_public_names(sources, traced=[("a", "t")]) == [
+        ("a", "C.m"), ("a", "_D.k"), ("a", "f"), ("a", "h")]
 
 
 def test_no_unread_private_module_names():

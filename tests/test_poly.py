@@ -164,20 +164,11 @@ def test_exact_div():
 def _reference_key(order, e):
     """The nested-tuple order key the engine used before heap_key became its
     only key: the larger key is the larger monomial."""
-    ep = tuple(e[i] for i in order.perm) if order.perm else e
     if order.kind == "degrevlex":
-        return (sum(ep), tuple(-x for x in reversed(ep)))
+        return (sum(e), tuple(-x for x in reversed(e)))
     if order.kind == "lex":
-        return ep
-    if order.kind == "ds":
-        return (-sum(ep), tuple(-x for x in reversed(ep)))
-    parts = []
-    pos = 0
-    for size in order.blocks:
-        blk = ep[pos:pos + size]
-        parts.append((sum(blk), tuple(-x for x in reversed(blk))))
-        pos += size
-    return tuple(parts)
+        return e
+    return (-sum(e), tuple(-x for x in reversed(e)))
 
 
 def _reference_mod_key(mo, c, e):
@@ -185,8 +176,6 @@ def _reference_mod_key(mo, c, e):
     rk = _reference_key(mo.ring, e)
     if mo.rule == "TOP":
         return (rk, -c)
-    if mo.rule == "POT":
-        return (-c, rk)
     return (1 if c < mo.elim else 0, rk, -c)
 
 
@@ -202,8 +191,7 @@ def test_orders():
     assert ds.heap_key((1, 0)) < ds.heap_key((0, 2))
     # multiplicativity spot check: u < v implies u*w < v*w
     rng = random.Random(11)
-    for order in (dp, Order("ds", 3), Order("lex", 3),
-                  Order("block", 3, blocks=(1, 2))):
+    for order in (dp, Order("ds", 3), Order("lex", 3)):
         for _ in range(40):
             u = tuple(rng.randint(0, 3) for _ in range(3))
             v = tuple(rng.randint(0, 3) for _ in range(3))
@@ -216,27 +204,21 @@ def test_orders():
 
 def test_heap_key_reverses_key():
     rng = random.Random(12)
-    perm = (2, 0, 3, 1)
-    for kind, blocks in (("degrevlex", None), ("ds", None), ("lex", None),
-                         ("block", (1, 3)), ("block", (2, 1, 1))):
-        for p in (None, perm):
-            order = Order(kind, 4, blocks=blocks, perm=p)
-            exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)}
-            assert (sorted(exps, key=order.heap_key)
-                    == sorted(exps, key=lambda e: _reference_key(order, e),
-                              reverse=True))
-            assert all(type(x) is int for e in exps for x in order.heap_key(e))
+    for kind in ("degrevlex", "ds", "lex"):
+        order = Order(kind, 4)
+        exps = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)}
+        assert (sorted(exps, key=order.heap_key)
+                == sorted(exps, key=lambda e: _reference_key(order, e),
+                          reverse=True))
+        assert all(type(x) is int for e in exps for x in order.heap_key(e))
 
 
 def test_module_heap_key_reverses_key():
     from logres.groebner import ModOrder, Vec
     rng = random.Random(13)
-    for ring in (Order("degrevlex", 3), Order("ds", 3),
-                 Order("lex", 3, perm=(2, 0, 1)),
-                 Order("block", 3, blocks=(1, 2), perm=(1, 2, 0))):
+    for ring in (Order("degrevlex", 3), Order("ds", 3), Order("lex", 3)):
         for r in (1, 2, 3):
-            for mo in (ModOrder(ring, "TOP"), ModOrder(ring, "POT"),
-                       ModOrder(ring, "ELIM", elim=r - 1)):
+            for mo in (ModOrder(ring, "TOP"), ModOrder(ring, "ELIM", elim=r - 1)):
                 mons = {(rng.randrange(r),
                          tuple(rng.randint(0, 3) for _ in range(3)))
                         for _ in range(60)}

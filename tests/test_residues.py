@@ -177,7 +177,7 @@ def test_validate_factorization():
 def test_idempotents_node():
     D = node()
     idem = IdempotentData(D, [D.poly("x"), D.poly("y")])
-    e1, e2 = idem.fractions()
+    e1, e2 = (MeroFraction(D, p, idem.g) for p in idem.parts)
     assert e1.equals(MeroFraction(D, D.poly("y"), D.poly("x + y")))
     # e^2 = e and sum = 1 certified at construction; re-check here explicitly
     for p in idem.parts:

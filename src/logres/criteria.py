@@ -96,15 +96,15 @@ class DivisorReport:
 MAX_INTEGRAL_DEGREE = 4
 
 
-def check_condition_C(D, nd, seed=0):
+def check_condition_C(D, nd):
     """Residues weakly holomorphic (R_D = O~).  Decidable through
     normalization data or, failing that, through explicit integral equations
     for the residue generators.  Returns (verdict, witness_text)."""
-    R = residue_module(D, seed=seed)
+    R = residue_module(D)
     if nd is not None:
         if nd.source == "branches":
             for p in R.num:
-                frac = MeroFraction(D, p, R.den, check=False)
+                frac = MeroFraction(D, p, R.den)
                 if not is_weakly_holomorphic(frac, nd):
                     return FALSE, f"residue {frac.str_of(D)} has a pole on a branch"
             return TRUE, "all residue generators weakly holomorphic on every branch"
@@ -134,7 +134,7 @@ def _integrality_degree(D, p, q):
     return None
 
 
-def check_condition_G(D, nd, c_verdict=None, seed=0):
+def check_condition_G(D, nd, c_verdict=None):
     """Jacobian ideal equals the conductor ideal.  Needs a conductor: from
     normalization data, or derived as dual(R_D) when condition (C) is
     certified true."""
@@ -142,7 +142,7 @@ def check_condition_G(D, nd, c_verdict=None, seed=0):
     if nd is not None:
         cond = nd.conductor_gens
     elif c_verdict == TRUE:
-        cond = residue_module(D, seed=seed).dual().as_ideal_gens()
+        cond = residue_module(D).dual().as_ideal_gens()
     else:
         return UNDECIDED, "no conductor available"
     if D.ideal_equal_mod_h(J, cond):
@@ -251,7 +251,7 @@ def crosscheck_free_equivalences(D, factors=None, nd=None, seed=0):
     idem = IdempotentData(D, factors) if factors is not None else None
     b, _ = check_condition_B(D, idem)
     d, _, _ = check_condition_D(D, seed=seed)
-    g, _ = check_condition_G(D, nd, seed=seed)
+    g, _ = check_condition_G(D, nd)
     return _free_equivalences(D, b, d, g)
 
 
@@ -266,14 +266,14 @@ def _free_equivalences(D, b, d, g):
     return {"B": b, "D": d, "G": g}
 
 
-def classify_gorenstein_suspension(D, gorenstein=None, seed=0):
+def classify_gorenstein_suspension(D, gorenstein=None):
     """For germs with Gorenstein singular locus of codimension one in D:
     decide whether D is a suspension of a quasihomogeneous plane curve, that
     is, whether h is a function of two linear forms, and return an Euler
     field of h in D's own coordinates as the witness.  A suspension that
     needs a nonlinear change of coordinates is not recognised.
     Returns (verdict, euler_witness_or_diagnostic)."""
-    gor = gorenstein if gorenstein is not None else gorenstein_singular_locus(D, seed=seed)
+    gor = gorenstein if gorenstein is not None else gorenstein_singular_locus(D)
     if gor != "gorenstein":
         return "not_applicable", f"singular locus verdict: {gor}"
     if local_dim(D.jacobian_pullback, D.n) != D.n - 2:
@@ -335,13 +335,13 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     nd_factors = None
     if _curve_setup(D) is not None:
         nd = normalization_from_branches(D, branches=branches,
-                                         precision=precision, seed=seed)
+                                         precision=precision)
         if nd is None:
             witnesses["normalization"] = ("rational Newton-Puiseux expansion "
                                           "unsupported and no branches supplied")
     if idem is not None and idem.smooth:
         try:
-            nd_factors = normalization_from_smooth_factors(D, idem, seed=seed)
+            nd_factors = normalization_from_smooth_factors(D, idem)
         except InputError:
             nd_factors = None
     if nd is not None and nd_factors is not None:
@@ -351,15 +351,15 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if nd is None:
         nd = nd_factors
 
-    R = residue_module(D, seed=seed)
-    mu, has_unit = mu_residues(D, seed=seed)
+    R = residue_module(D)
+    mu, has_unit = mu_residues(D)
     extras["mu_residues"] = mu
     extras["contains_unit"] = has_unit
     gor = gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
-    c_verdict, c_why = check_condition_C(D, nd, seed=seed)
+    c_verdict, c_why = check_condition_C(D, nd)
     witnesses["condition_C"] = c_why
-    g_verdict, g_why = check_condition_G(D, nd, c_verdict=c_verdict, seed=seed)
+    g_verdict, g_why = check_condition_G(D, nd, c_verdict=c_verdict)
     witnesses["condition_G"] = g_why
     d_verdict, d_why, rv = check_condition_D(D, seed=seed)
     witnesses["condition_D"] = d_why
@@ -385,7 +385,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             # (C) compared R_D with this same idempotent module
             ds_verdict = c_verdict
         else:
-            ds_verdict = _tri(direct_sum_check(D, idem, seed=seed))
+            ds_verdict = _tri(direct_sum_check(D, idem))
         extras["direct_sum"] = ds_verdict
 
     if free:
@@ -395,7 +395,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
                 and any(v != UNDECIDED for v in feq.values()):
             consistency.append("free_equivalences_agree")
 
-    susp, susp_data = classify_gorenstein_suspension(D, gorenstein=gor, seed=seed)
+    susp, susp_data = classify_gorenstein_suspension(D, gorenstein=gor)
     extras["suspension_classification"] = susp
     if susp == "suspension_of_quasihomogeneous_plane_curve":
         chi = susp_data.normalized()
@@ -403,7 +403,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             witnesses["suspension_euler"] = chi.str_of(D)
 
     # --- proven equivalences, re-verified on every run --------------------
-    J = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed)
+    J = FractionalIdeal(D, jacobian_ideal(D), 1)
     if free:
         if not R.dual().equals(J):
             raise ConsistencyError("free divisor with dual(R_D) != J_D")
@@ -432,7 +432,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     if b_verdict == TRUE and c_verdict == TRUE:
         consistency.append("normal_crossing_implies_weak_residues")
     if nd is not None:
-        _verify_chain(D, J, R, nd, seed=seed)
+        _verify_chain(D, J, R, nd)
         consistency.append("fractional_ideal_chain")
     # nd_factors is set only when every factor is smooth; then the normalization
     # is the disjoint union of the components, the idempotent module is O~,
@@ -484,10 +484,10 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     return report
 
 
-def _verify_chain(D, J, R, nd, seed=0):
+def _verify_chain(D, J, R, nd):
     """J_D in dual(R_D) in C_D in O_D in O~ in R_D, every inclusion checked."""
     Rdual = R.dual()
-    C = FractionalIdeal(D, nd.conductor_gens, 1, seed=seed)
+    C = FractionalIdeal(D, nd.conductor_gens, 1)
     O = FractionalIdeal.ring(D)
     chain = [("J_D", J), ("dual(R_D)", Rdual), ("C_D", C), ("O_D", O),
              ("weak ring", nd.weak_ring), ("R_D", R)]

@@ -81,9 +81,10 @@ def nzd_witness_quotient(D, q):
     return None
 
 
-def _nzd_candidates(gens, n, seed):
-    """Deterministic schedule of candidate nonzerodivisors drawn from an
-    ideal: generators first, then small integer combinations."""
+def _nzd_candidates(gens, n):
+    """Fixed schedule of candidate nonzerodivisors drawn from an ideal:
+    generators, sums and differences of pairs, then small integer
+    combinations from a fixed seed, so the certificates never vary."""
     gens = [g for g in gens if not g.is_zero]
     for g in gens:
         yield g
@@ -91,7 +92,7 @@ def _nzd_candidates(gens, n, seed):
         for j in range(i + 1, len(gens)):
             yield gens[i] + gens[j]
             yield gens[i] - gens[j]
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while True:
         coeffs = [rng.randint(-2, 2) for _ in gens]
         if not any(coeffs):
@@ -103,12 +104,12 @@ def _nzd_candidates(gens, n, seed):
         yield acc
 
 
-def find_nzd_in(D, gens, seed=0):
+def find_nzd_in(D, gens):
     """A certified nonzerodivisor inside the ideal generated by gens mod h,
     or None after the trial budget."""
     seen = set()
     count = 0
-    for cand in _nzd_candidates(gens, D.n, seed):
+    for cand in _nzd_candidates(gens, D.n):
         if cand in seen or cand.is_zero:
             continue
         seen.add(cand)
@@ -131,12 +132,11 @@ class FractionalIdeal:
     """Finitely generated O_D-submodule of the total quotient ring containing
     a nonzerodivisor, in common-denominator form num/den."""
 
-    __slots__ = ("germ", "num", "den", "seed", "_nzd_num", "_dual")
+    __slots__ = ("germ", "num", "den", "_nzd_num", "_dual")
 
-    def __init__(self, germ, num_gens, den, seed=0):
+    def __init__(self, germ, num_gens, den):
         self._dual = None
         self.germ = germ
-        self.seed = seed
         den = den if isinstance(den, Poly) else Poly.const(germ.n, den)
         if not is_nzd(germ, den):
             w = nzd_witness(germ, den)
@@ -147,14 +147,17 @@ class FractionalIdeal:
         self.num = tuple(germ.mod_h_basis(num_gens))
         if not self.num:
             raise InputError("numerator ideal is zero mod h")
-        self._nzd_num = find_nzd_in(germ, self.num, seed=seed)
+        self._nzd_num = find_nzd_in(germ, self.num)
         if self._nzd_num is None:
             raise InputError("numerator module contains no certified nonzerodivisor")
 
     @staticmethod
-    def make(pairs, D, seed=0):
-        """Fractional ideal generated by the fractions p/q in `pairs`."""
-        pairs = list(pairs)
+    def make(pairs, D):
+        """Fractional ideal generated by the fractions p/q in `pairs`.  A q
+        with q(0) != 0 is a unit of the local ring, so p/q enters as p, which
+        generates the same O_D-module."""
+        one = Poly.const(D.n, 1)
+        pairs = [(p, q if q.constant_term() == 0 else one) for p, q in pairs]
         if not pairs:
             raise InputError("no generators")
         dens = []
@@ -166,17 +169,10 @@ class FractionalIdeal:
                     f"(witness {poly_str(w, D.names)})")
             if q not in dens:
                 dens.append(q)
-        den = Poly.const(D.n, 1)
+        den = one
         for q in dens:
             den = den * q
-        nums = []
-        for p, q in pairs:
-            rest = Poly.const(D.n, 1)
-            for q2 in dens:
-                if q2 != q:
-                    rest = rest * q2
-            nums.append(p * rest)
-        return FractionalIdeal(D, nums, den, seed=seed)
+        return FractionalIdeal(D, [p * exact_div(den, q) for p, q in pairs], den)
 
     @staticmethod
     def ring(D):
@@ -215,14 +211,14 @@ class FractionalIdeal:
         return self.includes(other) and other.includes(self)
 
     def product(self, other):
-        """I * I', built with self.seed."""
+        """I * I'."""
         D = self.germ
         nums = [a * b for a in self.num for b in other.num]
-        return FractionalIdeal(D, nums, self.den * other.den, seed=self.seed)
+        return FractionalIdeal(D, nums, self.den * other.den)
 
     def dual(self):
         """I^dual = {f : f*I in O_D} = den * (<c> : num) / c for a certified
-        nonzerodivisor c in the numerator ideal, built with self.seed."""
+        nonzerodivisor c in the numerator ideal."""
         if self._dual is not None:
             return self._dual
         D = self.germ
@@ -230,7 +226,7 @@ class FractionalIdeal:
         Q = ideal_quotient([c, D.h], list(self.num), D.global_order)
         if not Q:
             raise EngineError("empty dual quotient")
-        out = FractionalIdeal(D, [self.den * q for q in Q], c, seed=self.seed)
+        out = FractionalIdeal(D, [self.den * q for q in Q], c)
         # certification: I * I^dual inside O_D
         if not FractionalIdeal.ring(D).includes_product(self, out):
             raise EngineError("dual certificate failed: I * I^dual not in O_D")

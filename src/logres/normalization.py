@@ -554,7 +554,7 @@ def conductor_bound(D):
     return mu + mult - 1, mu
 
 
-def normalization_from_branches(D, branches=None, precision=None, seed=0):
+def normalization_from_branches(D, branches=None, precision=None):
     """Assemble NormalizationData for a plane-curve germ or suspension.
     User-supplied branches always win over the internal expansion; both paths
     run the same certification.  Without supplied branches, a germ whose
@@ -637,9 +637,9 @@ def normalization_from_branches(D, branches=None, precision=None, seed=0):
         e[cvars[1]] = i
         num_gens.append(Poly.monomial(D.n, tuple(e)))
 
-    weak = FractionalIdeal(D, num_gens, qden, seed=seed)
+    weak = FractionalIdeal(D, num_gens, qden)
     _certify_weak_ring(D, weak)
-    cond = _conductor_from_weak(D, weak, seed=seed)
+    cond = _conductor_from_weak(D, weak)
     return NormalizationData(
         D, branches, weak, cond, "branches",
         {"conductor_bound": cb, "milnor_curve": mu, "truncation": branches[0].trunc,
@@ -681,23 +681,23 @@ def _certify_weak_ring(D, weak):
                 raise EngineError("weakly holomorphic module is not a ring")
 
 
-def _conductor_from_weak(D, weak, seed=0):
+def _conductor_from_weak(D, weak):
     dual = weak.dual()
     gens = dual.as_ideal_gens()
-    cfrac = FractionalIdeal(D, gens, 1, seed=seed)
+    cfrac = FractionalIdeal(D, gens, 1)
     if not cfrac.includes_product(cfrac, weak):
         raise EngineError("conductor is not an ideal of the weak ring")
     return gens
 
 
-def normalization_from_smooth_factors(D, idem, seed=0):
+def normalization_from_smooth_factors(D, idem):
     """O~ for a divisor presented by a validated factorization (an
     IdempotentData) into smooth factors through the origin: the direct sum
     of the component rings, generated by the idempotents."""
     if not idem.smooth:
         raise InputError("components are not all smooth at the origin")
-    weak = idem.module(seed=seed)
-    cond = _conductor_from_weak(D, weak, seed=seed)
+    weak = idem.module()
+    cond = _conductor_from_weak(D, weak)
     return NormalizationData(D, [], weak, cond, "smooth_factors", {})
 
 

@@ -29,11 +29,11 @@ class MeroFraction:
 
     __slots__ = ("germ", "num", "den")
 
-    def __init__(self, germ, num, den, check=True):
+    def __init__(self, germ, num, den):
         self.germ = germ
         self.num = num
         self.den = den
-        if check and not is_nzd(germ, den):
+        if not is_nzd(germ, den):
             w = nzd_witness(germ, den)
             raise InputError(
                 f"denominator {poly_str(den, germ.names)} is a zero divisor "
@@ -151,20 +151,20 @@ def residue(omega, D):
 _RESIDUE_MODULE_CACHE = {}
 
 
-def residue_module(D, seed=0):
+def residue_module(D):
     """R_D as a fractional ideal: the dual of the Jacobian ideal.  When D is
     free the residues of the dual basis of its Saito matrix (which is_free
     keeps on the germ) are certified to generate the same fractional ideal
     before R_D is cached."""
-    key = (D.h, D.names, seed)
+    key = (D.h, D.names)
     R = _RESIDUE_MODULE_CACHE.get(key)
     if R is not None:
         return R
-    R = FractionalIdeal(D, jacobian_ideal(D), 1, seed=seed).dual()
+    R = FractionalIdeal(D, jacobian_ideal(D), 1).dual()
     free, M = is_free(D)
     if free:
         fracs = [residue(w, D) for w in log_forms_basis(M)]
-        gen = FractionalIdeal.make([(f.num, f.den) for f in fracs], D, seed=seed)
+        gen = FractionalIdeal.make([(f.num, f.den) for f in fracs], D)
         if not gen.equals(R):
             raise EngineError(
                 "residues of the dual basis do not generate dual(J_D)")
@@ -186,10 +186,10 @@ def sigma_check(delta, omega, D):
     return D.in_h(cert.g * pair - dh * cert.xi)
 
 
-def mu_residues(D, seed=0):
+def mu_residues(D):
     """Minimal local generator count of R_D as an O_D-module and whether 1
     can be part of a minimal generating set (1 not in m*R_D)."""
-    R = residue_module(D, seed=seed)
+    R = residue_module(D)
     mu, _ = min_generators_local([Vec([p]) for p in R.num], extra=[Vec([D.h])])
     if not R.contains_fraction(Poly.const(D.n, 1), Poly.const(D.n, 1)):
         raise EngineError("R_D does not contain 1")
@@ -210,10 +210,10 @@ def gorenstein_rule(smooth, free, mu, contains_unit):
     return "gorenstein" if (mu == 2 and contains_unit) else "not_gorenstein"
 
 
-def gorenstein_singular_locus(D, seed=0):
+def gorenstein_singular_locus(D):
     """The Gorenstein verdict of gorenstein_rule, computing its facts."""
     free, _ = is_free(D)
-    mu, has_unit = mu_residues(D, seed=seed) if free else (None, None)
+    mu, has_unit = mu_residues(D) if free else (None, None)
     return gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
 
@@ -264,13 +264,13 @@ class IdempotentData:
             if exact_div(p * (p - self.g), D.h) is None:
                 raise EngineError("idempotent relation e^2 = e failed")
 
-    def module(self, seed=0):
+    def module(self):
         """The fractional ideal generated by the idempotents: the direct sum
         of the component rings."""
-        return FractionalIdeal(self.germ, list(self.parts), self.g, seed=seed)
+        return FractionalIdeal(self.germ, list(self.parts), self.g)
 
 
-def direct_sum_check(D, idem, seed=0):
+def direct_sum_check(D, idem):
     """Whether R_D equals the direct sum of the component rings O_{D_i},
     realized by the idempotent fractions of a validated factorization."""
-    return idem.module(seed=seed).equals(residue_module(D, seed=seed))
+    return idem.module().equals(residue_module(D))

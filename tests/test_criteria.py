@@ -1,10 +1,12 @@
 """Condition checks, theorem cross-validations, and the report aggregator."""
 
 import hashlib
+import inspect
 
 import pytest
 
-from logres import criteria, germs, residues
+from conftest import deadline
+from logres import criteria, fractional, germs, residues
 from logres.errors import InputError
 from logres.fractional import FractionalIdeal
 from logres.germs import DivisorGerm
@@ -219,6 +221,48 @@ def test_analyze_plane_curve_with_non_rational_tangent_cone_returns():
     assert v["free"] == "true"
     assert v["normal_crossing_at_origin"] == "false"
     assert v["jacobian_radical"] == "false"
+
+
+# germs times a unit of the local ring, with the germs they equal locally;
+# each once hung in the certification of R_D, where the unit factors of the
+# residue denominators blew up the common denominator
+UNIT_MULTIPLES = [
+    ("xy", "(x^2-y^3)*(1+x)", "x^2-y^3"),
+    ("xyz", "(x^2-y^3)*(1+x)", "x^2-y^3"),
+    ("xy", "(x^3+y^4)*(1+x)", "x^3+y^4"),
+]
+
+
+@pytest.mark.parametrize("vars_,poly,local", UNIT_MULTIPLES)
+def test_unit_multiple_has_the_verdicts_of_its_germ(vars_, poly, local):
+    with deadline(10):
+        report = analyze_text(list(vars_), poly)
+    assert report.verdicts == analyze_text(list(vars_), local).verdicts
+
+
+def test_deadline_fails_a_hang():
+    with pytest.raises(pytest.fail.Exception, match="deadline"):
+        with deadline(0.05):
+            while True:
+                pass
+
+
+def test_seed_moves_no_verdict_or_witness():
+    # the seed reaches only the witness search of the radical test; the
+    # (G) witness of this germ once followed the seed of the fractional
+    # ideals
+    r0, r1 = (analyze_text(list("xyz"), "x*y*z*(x+y+z)", seed=s)
+              for s in (0, 1))
+    assert r0.verdicts == r1.verdicts
+    assert r0["witnesses"] == r1["witnesses"]
+    assert r1["provenance"]["seed"] == 1
+
+
+@pytest.mark.parametrize("fn", [
+    FractionalIdeal, FractionalIdeal.make, fractional.find_nzd_in,
+    residues.residue_module, normalization_from_branches])
+def test_germ_objects_take_no_seed(fn):
+    assert "seed" not in inspect.signature(fn).parameters
 
 
 def test_report_roundtrip_and_determinism():

@@ -168,6 +168,16 @@ def test_make_unit():
     assert I.equals(FractionalIdeal.ring(D))
 
 
+def test_make_drops_unit_denominators():
+    # 1+x and (1+x)*(x+y) are units times 1 and x+y in the local ring
+    D = node()
+    I = FractionalIdeal.make([(D.poly("1"), D.poly("1 + x")),
+                              (D.poly("y"), D.poly("(1 + x)*(x + y)"))], D)
+    assert I.den == D.poly("(1 + x)*(x + y)")
+    assert I.equals(FractionalIdeal.make(
+        [(D.poly("1"), D.poly("1")), (D.poly("y"), D.poly("x + y"))], D))
+
+
 def test_make_zero_divisor_denominator():
     D = node()
     with pytest.raises(InputError) as err:
@@ -199,17 +209,6 @@ def test_dual_cusp_jacobian():
     assert R.equals(expected)
 
 
-def test_dual_uses_the_construction_seed():
-    C = cusp()
-    for seed in (0, 1):
-        J = FractionalIdeal(C, jacobian_ideal(C), 1, seed=seed)
-        R = J.dual()
-        assert J.dual() is R
-        assert (J.seed, R.seed, R.dual().seed) == (seed, seed, seed)
-    with pytest.raises(TypeError):
-        J.dual(seed=0)
-
-
 def test_includes_and_equals():
     D = node()
     J = FractionalIdeal(D, jacobian_ideal(D), 1)
@@ -233,15 +232,10 @@ def test_product():
     assert O.includes(J.product(R))
 
 
-def test_product_uses_the_construction_seed():
-    C = cusp()
-    J = FractionalIdeal(C, jacobian_ideal(C), 1, seed=1)
-    assert J.product(J).seed == 1
-
-
 def test_reflexive():
     D = node()
     J = FractionalIdeal(D, jacobian_ideal(D), 1)
+    assert J.dual() is J.dual()
     assert J.dual().dual().equals(J)
     C = cusp()
     Jc = FractionalIdeal(C, jacobian_ideal(C), 1)

@@ -81,44 +81,52 @@ def nzd_witness_quotient(D, q):
     return None
 
 
-def _nzd_candidates(gens, n):
-    """Fixed schedule of candidate nonzerodivisors drawn from an ideal:
-    generators, sums and differences of pairs, then small integer
-    combinations from a fixed seed, so the certificates never vary."""
-    gens = [g for g in gens if not g.is_zero]
-    for g in gens:
-        yield g
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            yield gens[i] + gens[j]
-            yield gens[i] - gens[j]
+def _nzd_schedule(m):
+    """Fixed schedule of coefficient vectors over m generators: unit
+    vectors, sums and differences of pairs, then the distinct nonzero
+    vectors with entries in [-2, 2] drawn from random.Random(0), so the
+    certificates never vary.  It ends once every such vector is drawn."""
+    for i in range(m):
+        yield [int(k == i) for k in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for s in (1, -1):
+                yield [1 if k == i else s if k == j else 0 for k in range(m)]
     rng = random.Random(0)
-    while True:
-        coeffs = [rng.randint(-2, 2) for _ in gens]
-        if not any(coeffs):
-            continue
-        acc = Poly.zero(n)
-        for c, g in zip(coeffs, gens):
+    drawn = set()
+    while len(drawn) < 5 ** m - 1:
+        coeffs = tuple(rng.randint(-2, 2) for _ in range(m))
+        if any(coeffs) and coeffs not in drawn:
+            drawn.add(coeffs)
+            yield coeffs
+
+
+def nzd_combinations(D, gens):
+    """(coeffs, q) for each certified nonzerodivisor q = sum coeffs_i*gens_i
+    mod h among the first NZD_TRIAL_BUDGET distinct nonzero candidates of
+    the schedule over the nonzero gens; coeffs is 0 at every zero gen."""
+    live = [i for i, g in enumerate(gens) if not g.is_zero]
+    seen = set()
+    for vec in _nzd_schedule(len(live)):
+        if len(seen) >= NZD_TRIAL_BUDGET:
+            return
+        coeffs = [0] * len(gens)
+        q = Poly.zero(D.n)
+        for i, c in zip(live, vec):
             if c:
-                acc = acc + g.scale(c)
-        yield acc
+                coeffs[i] = c
+                q = q + gens[i].scale(c)
+        if q.is_zero or q in seen:
+            continue
+        seen.add(q)
+        if is_nzd(D, q):
+            yield coeffs, q
 
 
 def find_nzd_in(D, gens):
     """A certified nonzerodivisor inside the ideal generated by gens mod h,
     or None after the trial budget."""
-    seen = set()
-    count = 0
-    for cand in _nzd_candidates(gens, D.n):
-        if cand in seen or cand.is_zero:
-            continue
-        seen.add(cand)
-        count += 1
-        if is_nzd(D, cand):
-            return cand
-        if count >= NZD_TRIAL_BUDGET:
-            return None
-    return None
+    return next((q for _, q in nzd_combinations(D, gens)), None)
 
 
 def _same_germ(ideal, *others):

@@ -424,10 +424,8 @@ def _compute_basis(gens, mo, transform):
         return rem, trow
 
     pairs = []
-    counter = 0
 
     def push_pair(i, j):
-        nonlocal counter
         gi, gj = G[i], G[j]
         if gi.mono and gj.mono:
             return
@@ -440,15 +438,14 @@ def _compute_basis(gens, mo, transform):
             return
         dl = exp_deg(l)
         sugar = max(gi.sugar + dl - exp_deg(ei), gj.sugar + dl - exp_deg(ej))
-        counter += 1
-        heappush(pairs, (dl, sugar, i, j, counter, l))
+        heappush(pairs, (dl, sugar, i, j, l))
 
     for i in range(len(G)):
         for j in range(i):
             push_pair(j, i)
 
     while pairs:
-        _, sugar, i, j, _, l = heappop(pairs)
+        _, sugar, i, j, l = heappop(pairs)
         gi, gj = G[i], G[j]
         di = exp_div(l, gi.lead[1])
         dj = exp_div(l, gj.lead[1])

@@ -6,8 +6,10 @@ on D obtained from any certificate
     g * a = xi * (dh/dx_1, ..., dh/dx_n) + h * b        (exact identity)
 
 with g a nonzerodivisor mod h; well-definedness means any two certificates
-agree mod h.  Certificates come out of one syzygy computation for the row
-(a | grad h | h*e_1 | ... | h*e_n).  The residue module R_D is computed as
+agree mod h.  Certificates come from contraction with a constant vector
+field c = sum c_k d/dx_k whose c(h) is a nonzerodivisor mod h: the residue
+is <c, h*omega>/c(h) (Saito 1980), and c is drawn from the one schedule of
+fractional.nzd_combinations.  The residue module R_D is computed as
 the fractional-ideal dual of the Jacobian ideal; for free divisors it is
 certified against the residues of a dual basis of logarithmic forms.
 """
@@ -16,12 +18,12 @@ from __future__ import annotations
 
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div
-from .groebner import Vec, syzygies, min_generators_local, reduce_poly
+from .groebner import (Vec, ModOrder, division_certificate,
+                       min_generators_local, reduce_poly)
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
                     form_is_logarithmic)
-from .fractional import FractionalIdeal, is_nzd, nzd_witness
-
-RESIDUE_TRIAL_BUDGET = 32
+from .fractional import (FractionalIdeal, is_nzd, nzd_witness,
+                         nzd_combinations)
 
 
 class MeroFraction:
@@ -81,62 +83,38 @@ class ResidueCertificate:
 
 
 def residue_certificates(omega, D, count=1):
-    """Up to `count` distinct residue certificates for a logarithmic form.
-    Candidate g's are drawn from the quotient of the module spanned by grad h
-    and h*O_S^n by the coefficient vector, then certified nonzerodivisors."""
+    """Up to `count` residue certificates of a logarithmic form, by
+    contraction with constant vector fields c (Saito): g = c(h) is a
+    certified nonzerodivisor from the schedule of nzd_combinations and
+    xi = <c, a>.  Then g*a - xi*grad h = sum_k c_k (h_k*a - a_k*grad h) lies
+    in h*O^n locally by the pairwise criterion, and one division by
+    h*e_1, ..., h*e_n gives b and a unit u with
+    (u*g)*a = (u*xi)*grad h + h*b."""
     a = omega.a if isinstance(omega, LogOneForm) else tuple(omega)
     if not form_is_logarithmic(a, D):
         raise InputError("the form is not logarithmic")
-    n = D.n
-    zero = Poly.zero(n)
-    rows = [Vec(a), Vec(D.partials)]
-    for i in range(n):
-        comps = [zero] * n
-        comps[i] = D.h
-        rows.append(Vec(comps))
-    sy = syzygies(rows)
-    # syzygy (s0, s1, s2, ...): s0*a + s1*grad + sum s_{2+i} h e_i = 0
-    base = [(s.polys[0], s.polys[1], s.polys[2:]) for s in sy
-            if not s.polys[0].is_zero]
-
-    def certs():
-        for g, s1, rest in base:
-            yield ResidueCertificate(g, -s1, [-p for p in rest])
-        for i in range(len(base)):
-            for j in range(i + 1, len(base)):
-                gi, si, ri = base[i]
-                gj, sj, rj = base[j]
-                yield ResidueCertificate(gi + gj, -(si + sj),
-                                         [-(p + q) for p, q in zip(ri, rj)])
-                yield ResidueCertificate(gi - gj, -(si - sj),
-                                         [-(p - q) for p, q in zip(ri, rj)])
-        # unit rescalings give further distinct certified denominators
-        for k in range(n):
-            u = Poly.const(n, 1) + Poly.variable(n, k)
-            for g, s1, rest in base:
-                yield ResidueCertificate(u * g, -(u * s1), [-(u * p) for p in rest])
-
+    zero = Poly.zero(D.n)
+    rows = [Vec([D.h if k == i else zero for k in range(D.n)])
+            for i in range(D.n)]
     found = []
-    seen = set()
-    trials = 0
-    for cert in certs():
-        if cert.g.is_zero or (cert.g, cert.xi) in seen:
-            continue
-        seen.add((cert.g, cert.xi))
-        trials += 1
-        if is_nzd(D, cert.g):
-            if not cert.verify(a, D):
-                raise EngineError("residue certificate failed to re-multiply")
-            found.append(cert)
-            if len(found) >= count:
-                return found
-        if trials >= RESIDUE_TRIAL_BUDGET:
+    for coeffs, g in nzd_combinations(D, D.partials):
+        xi = zero
+        for c, ak in zip(coeffs, a):
+            if c:
+                xi = xi + ak.scale(c)
+        v = Vec([g * ai - xi * hi for ai, hi in zip(a, D.partials)])
+        b, u, rem = division_certificate(v, rows, ModOrder(D.local_order))
+        cert = ResidueCertificate(u * g, u * xi, b)
+        if not rem.is_zero or not cert.verify(a, D):
+            raise EngineError("residue certificate failed to re-multiply")
+        found.append(cert)
+        if len(found) >= count:
             break
-    if found:
-        return found
-    raise EngineError(
-        "no nonzerodivisor denominator found for the residue within the "
-        "trial budget; this contradicts the decomposition guarantee")
+    if not found:
+        raise EngineError(
+            "no nonzerodivisor denominator found for the residue within the "
+            "trial budget; this contradicts the decomposition guarantee")
+    return found
 
 
 def residue(omega, D):

@@ -224,12 +224,15 @@ def test_analyze_plane_curve_with_non_rational_tangent_cone_returns():
 
 
 # germs times a unit of the local ring, with the germs they equal locally;
-# each once hung in the certification of R_D, where the unit factors of the
-# residue denominators blew up the common denominator
+# each once hung in the certification of R_D: the (1+x) multiples when unit
+# factors of the residue denominators entered the common denominator, the
+# (2+x+y) multiples on the denominators of the syzygy-based residues
 UNIT_MULTIPLES = [
     ("xy", "(x^2-y^3)*(1+x)", "x^2-y^3"),
     ("xyz", "(x^2-y^3)*(1+x)", "x^2-y^3"),
     ("xy", "(x^3+y^4)*(1+x)", "x^3+y^4"),
+    ("xy", "(x^3+y^4)*(2+x+y)", "x^3+y^4"),
+    ("xy", "(x^2-y^3)*(2+x+y)", "x^2-y^3"),
 ]
 
 
@@ -373,7 +376,8 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # the S-pair pruning and the reducer reuse; the two surfaces, which take the
 # non-free dual path, from the code before the in-place dividend and the
 # generator-product certificate; x*y*(x+y+z) from the code before the
-# nonzerodivisor test by local dimension.
+# nonzerodivisor test by local dimension; four-planes-family, analysed with
+# its factors, from the code before the residues by contraction.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "0003ac788881d9a5ba98798b881261bd1abc01861ee56046653828fe183bdac8"),
@@ -387,11 +391,16 @@ GOLDEN_REPORTS = [
      "8e5606259bdfe1cf99d54e1b187e17000d4d21255fdb111d39067a9e0b1e41db"),
     ("x*y*(x+y+z)",
      "1a55e401e3927371857b9e53326a4f05a4380cd367eb9ce4b6ebe3e53cd34eea"),
+    ("x*y*(x+y)*(x+y*z)",
+     "29643a9b38b514820ed26138c580c6622c4a0713f4112a66661adca15f76def8"),
 ]
+# the factors a pinned germ is analysed with, where it has any
+GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z"}
 
 
 @pytest.mark.parametrize("poly,digest", GOLDEN_REPORTS)
 def test_default_report_bytes_are_pinned(poly, digest):
     # the germ lives in the variables its polynomial names
-    report = analyze_text(sorted(set(poly) & set("xyz")), poly)
+    report = analyze_text(sorted(set(poly) & set("xyz")), poly,
+                          GOLDEN_FACTORS.get(poly))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

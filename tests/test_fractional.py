@@ -10,7 +10,9 @@ from logres.errors import InputError
 from logres.germs import DivisorGerm, jacobian_ideal
 from logres.poly import Poly, poly_gcd
 from logres.fractional import (FractionalIdeal, is_nzd, nzd_witness,
-                               nzd_witness_quotient, find_nzd_in)
+                               nzd_witness_quotient, find_nzd_in,
+                               nzd_combinations)
+from conftest import deadline
 
 
 def node():
@@ -249,6 +251,27 @@ def test_find_nzd_skips_zero_divisors():
     c = find_nzd_in(D, [D.poly("x"), D.poly("y")])
     assert c is not None
     assert nzd_witness(D, c) is None
+
+
+def test_nzd_combinations_certify_their_coefficients():
+    D = node()
+    gens = [D.poly("x"), D.poly("0"), D.poly("y")]
+    found = list(nzd_combinations(D, gens))
+    assert found and found[0][1] == find_nzd_in(D, gens)
+    for coeffs, q in found:
+        assert coeffs[1] == 0
+        assert q == gens[0].scale(coeffs[0]) + gens[2].scale(coeffs[2])
+        assert is_nzd(D, q)
+
+
+def test_nzd_schedule_ends_when_every_candidate_is_a_zero_divisor():
+    # a single zero divisor has only 4 distinct multiples with coefficients
+    # in [-2, 2], fewer than the trial budget; the search once looped forever
+    D = node()
+    with deadline(10):
+        assert find_nzd_in(D, [D.poly("x")]) is None
+        with pytest.raises(InputError):
+            FractionalIdeal(D, [D.poly("x")], 1)
 
 
 def test_as_ideal_gens():

@@ -4,17 +4,20 @@ import inspect
 
 import pytest
 
-from logres import residues
+from logres import groebner, residues
+from logres.corpus import CORPUS
 from logres.errors import InputError, EngineError
 from logres.poly import Poly
-from logres.groebner import reduce_poly
+from logres.groebner import Vec, reduce_poly, syzygies
 from logres.germs import DivisorGerm, VectorField, LogOneForm, is_free, \
     log_forms_basis
 from logres.fractional import FractionalIdeal
 from logres.residues import (MeroFraction, residue, residue_certificates,
                              residue_module, sigma_check, mu_residues,
                              gorenstein_singular_locus, direct_sum_check,
-                             IdempotentData, validate_factorization)
+                             IdempotentData, validate_factorization,
+                             ResidueCertificate)
+from logres.fractional import is_nzd
 
 
 def node():
@@ -60,6 +63,74 @@ def test_residue_well_defined_two_certificates():
     assert f1.equals(f2)
     for cert in certs:
         assert cert.verify([D.poly("y"), D.poly("0")], D)
+
+
+def _syzygy_residue(omega, D):
+    """Reference: the first certificate of the syzygy route that contraction
+    replaced.  One syzygy module of (a | grad h | h*e_1 | ... | h*e_n); each
+    syzygy (g, s, r) with g != 0 gives g*a = -s*grad h - h*r, tried in the
+    order generators, sums and differences of pairs, (1+x_k) rescalings."""
+    a = omega.a
+    n = D.n
+    zero = Poly.zero(n)
+    rows = [Vec(a), Vec(D.partials)]
+    rows += [Vec([D.h if k == i else zero for k in range(n)])
+             for i in range(n)]
+    base = [(s.polys[0], s.polys[1], s.polys[2:]) for s in syzygies(rows)
+            if not s.polys[0].is_zero]
+    combos = list(base)
+    for i, (gi, si, ri) in enumerate(base):
+        for gj, sj, rj in base[i + 1:]:
+            combos.append((gi + gj, si + sj, [p + q for p, q in zip(ri, rj)]))
+            combos.append((gi - gj, si - sj, [p - q for p, q in zip(ri, rj)]))
+    for k in range(n):
+        u = Poly.const(n, 1) + Poly.variable(n, k)
+        combos += [(u * g, u * s, [u * p for p in r]) for g, s, r in base]
+    for g, s, r in combos:
+        if is_nzd(D, g):
+            return ResidueCertificate(g, -s, [-p for p in r])
+    raise AssertionError("the syzygy route found no nonzerodivisor")
+
+
+# every free corpus germ, and unit multiples of free plane curves
+FREE_GERMS = ([(e["vars"], e["poly"]) for e in CORPUS
+               if e["expected"]["free"] == "true"]
+              + [(["x", "y"], "(x^3+y^4)*(2+x+y)"),
+                 (["x", "y"], "(x^2-y^3)*(2+x+y)")])
+
+
+@pytest.mark.parametrize("names,text", FREE_GERMS,
+                         ids=[t for _, t in FREE_GERMS])
+def test_contraction_residue_agrees_with_syzygy_route(names, text):
+    D = DivisorGerm(names, text)
+    free, M = is_free(D)
+    assert free
+    for w in log_forms_basis(M):
+        old = _syzygy_residue(w, D)
+        new = residue_certificates(w, D)[0]
+        assert old.verify(w.a, D) and new.verify(w.a, D)
+        assert MeroFraction(D, new.xi, new.g).equals(
+            MeroFraction(D, old.xi, old.g)), text
+
+
+def test_residue_certificates_compute_no_syzygy(monkeypatch):
+    forms = []
+    for names, text in ((["x", "y"], "x^2 - y^3"),
+                        (["x", "y", "z"], "x*y*(x+y)*(x+y*z)")):
+        D = DivisorGerm(names, text)
+        dual = log_forms_basis(is_free(D)[1])
+        forms += [(w, D) for w in [LogOneForm(list(D.partials))] + dual]
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return syzygies(*args, **kw)
+
+    monkeypatch.setattr(groebner, "syzygies", counted)
+    monkeypatch.setattr(residues, "syzygies", counted, raising=False)
+    for w, D in forms:
+        residue_certificates(w, D, count=2)
+    assert not calls
 
 
 def test_residue_triple_line_pole():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError, EngineError
-from .poly import Poly, poly_str, exact_div, poly_gcd
+from .poly import Poly, poly_str, exact_div, poly_gcd, exp_deg
 from .groebner import (ideal_quotient, division_certificate, standard_basis,
                        ModOrder, leads_dim)
 
@@ -69,6 +69,13 @@ def nzd_witness(D, q):
     return w
 
 
+def require_nzd(D, q):
+    """Raise InputError, with a witness, unless q is a nonzerodivisor mod h."""
+    if not is_nzd(D, q):
+        raise InputError(f"denominator {poly_str(q, D.names)} is a zero divisor "
+                         f"mod h (witness {poly_str(nzd_witness(D, q), D.names)})")
+
+
 def nzd_witness_quotient(D, q):
     """The quotient-ideal form of the nonzerodivisor test: q is a
     nonzerodivisor mod h iff (<h> : q) = <h> in the local ring."""
@@ -92,8 +99,7 @@ def _nzd_schedule(m):
         for j in range(i + 1, m):
             for s in (1, -1):
                 yield [1 if k == i else s if k == j else 0 for k in range(m)]
-    rng = random.Random(0)
-    drawn = set()
+    rng, drawn = random.Random(0), set()
     while len(drawn) < 5 ** m - 1:
         coeffs = tuple(rng.randint(-2, 2) for _ in range(m))
         if any(coeffs) and coeffs not in drawn:
@@ -103,29 +109,38 @@ def _nzd_schedule(m):
 
 def nzd_combinations(D, gens):
     """(coeffs, q) for each certified nonzerodivisor q = sum coeffs_i*gens_i
-    mod h among the first NZD_TRIAL_BUDGET distinct nonzero candidates of
-    the schedule over the nonzero gens; coeffs is 0 at every zero gen."""
+    mod h over the m nonzero gens (coeffs 0 at the zero gens).  It tries the
+    first NZD_TRIAL_BUDGET distinct q of _nzd_schedule, then (m-1)*ord_0(h)+1
+    points (1, t, ..., t^(m-1)), t = 3, 4, ..., of the moment curve, which
+    decide: <h> has at most ord_0(h) minimal primes at the origin, the c with
+    sum c_i*gens_i in one of them form a subspace, proper unless the ideal
+    lies in that prime, and a proper subspace holds at most m-1 such points."""
     live = [i for i, g in enumerate(gens) if not g.is_zero]
-    seen = set()
-    for vec in _nzd_schedule(len(live)):
-        if len(seen) >= NZD_TRIAL_BUDGET:
-            return
+    m, seen = len(live), set()
+
+    def trial(vec):
         coeffs = [0] * len(gens)
         q = Poly.zero(D.n)
         for i, c in zip(live, vec):
             if c:
                 coeffs[i] = c
                 q = q + gens[i].scale(c)
-        if q.is_zero or q in seen:
-            continue
-        seen.add(q)
-        if is_nzd(D, q):
-            yield coeffs, q
+        if not q.is_zero and q not in seen:
+            seen.add(q)
+            if is_nzd(D, q):
+                yield coeffs, q
+
+    for vec in _nzd_schedule(m):
+        if len(seen) >= NZD_TRIAL_BUDGET:
+            break
+        yield from trial(vec)
+    for t in range(3, 4 + (m - 1) * min(map(exp_deg, D.h.terms))):
+        yield from trial([t ** k for k in range(m)])
 
 
 def find_nzd_in(D, gens):
     """A certified nonzerodivisor inside the ideal generated by gens mod h,
-    or None after the trial budget."""
+    or None when that ideal holds none."""
     return next((q for _, q in nzd_combinations(D, gens)), None)
 
 
@@ -146,11 +161,7 @@ class FractionalIdeal:
         self._dual = None
         self.germ = germ
         den = den if isinstance(den, Poly) else Poly.const(germ.n, den)
-        if not is_nzd(germ, den):
-            w = nzd_witness(germ, den)
-            raise InputError(
-                f"denominator {poly_str(den, germ.names)} is a zero divisor mod h "
-                f"(witness {poly_str(w, germ.names)})")
+        require_nzd(germ, den)
         self.den = den
         self.num = tuple(germ.mod_h_basis(num_gens))
         if not self.num:
@@ -170,11 +181,7 @@ class FractionalIdeal:
             raise InputError("no generators")
         dens = []
         for _, q in pairs:
-            if not is_nzd(D, q):
-                w = nzd_witness(D, q)
-                raise InputError(
-                    f"{poly_str(q, D.names)} is a zero divisor mod h "
-                    f"(witness {poly_str(w, D.names)})")
+            require_nzd(D, q)
             if q not in dens:
                 dens.append(q)
         den = one

@@ -3,9 +3,9 @@
 For omega = (sum a_i dx_i)/h the residue is the meromorphic function xi/g
 on D obtained from any certificate
 
-    g * a = xi * (dh/dx_1, ..., dh/dx_n) + h * b        (exact identity)
+    (u*g) * a = (u*xi) * (dh/dx_1, ..., dh/dx_n) + h * b    (exact identity)
 
-with g a nonzerodivisor mod h; well-definedness means any two certificates
+with u a unit and g a nonzerodivisor mod h; well-definedness means any two certificates
 agree mod h.  Certificates come from contraction with a constant vector
 field c = sum c_k d/dx_k whose c(h) is a nonzerodivisor mod h: the residue
 is <c, h*omega>/c(h) (Saito 1980), and c is drawn from the one schedule of
@@ -22,7 +22,7 @@ from .groebner import (Vec, ModOrder, division_certificate,
                        min_generators_local, reduce_poly)
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
                     form_is_logarithmic)
-from .fractional import (FractionalIdeal, is_nzd, nzd_witness,
+from .fractional import (FractionalIdeal, is_nzd, require_nzd,
                          nzd_combinations)
 
 
@@ -35,11 +35,7 @@ class MeroFraction:
         self.germ = germ
         self.num = num
         self.den = den
-        if not is_nzd(germ, den):
-            w = nzd_witness(germ, den)
-            raise InputError(
-                f"denominator {poly_str(den, germ.names)} is a zero divisor "
-                f"mod h (witness {poly_str(w, germ.names)})")
+        require_nzd(germ, den)
 
     def equals(self, other):
         """xi/g = xi'/g'  iff  xi*g' - xi'*g in <h> locally."""
@@ -64,22 +60,21 @@ class MeroFraction:
 
 
 class ResidueCertificate:
-    """(g, xi, b) with g*a = xi*grad(h) + h*b exactly."""
+    """(g, xi, b, u), u a unit, with (u*g)*a = (u*xi)*grad(h) + h*b exactly."""
 
-    __slots__ = ("g", "xi", "b")
+    __slots__ = ("g", "xi", "b", "u")
 
-    def __init__(self, g, xi, b):
+    def __init__(self, g, xi, b, u):
         self.g = g
         self.xi = xi
         self.b = tuple(b)
+        self.u = u
 
     def verify(self, a, D):
-        for i in range(D.n):
-            lhs = self.g * a[i]
-            rhs = self.xi * D.partials[i] + D.h * self.b[i]
-            if lhs != rhs:
-                return False
-        return True
+        ug, uxi = self.u * self.g, self.u * self.xi
+        return self.u.constant_term() != 0 and all(
+            ug * ai == uxi * hi + D.h * bi
+            for ai, hi, bi in zip(a, D.partials, self.b))
 
 
 def residue_certificates(omega, D, count=1):
@@ -104,21 +99,21 @@ def residue_certificates(omega, D, count=1):
                 xi = xi + ak.scale(c)
         v = Vec([g * ai - xi * hi for ai, hi in zip(a, D.partials)])
         b, u, rem = division_certificate(v, rows, ModOrder(D.local_order))
-        cert = ResidueCertificate(u * g, u * xi, b)
+        cert = ResidueCertificate(g, xi, b, u)
         if not rem.is_zero or not cert.verify(a, D):
             raise EngineError("residue certificate failed to re-multiply")
         found.append(cert)
         if len(found) >= count:
             break
     if not found:
-        raise EngineError(
-            "no nonzerodivisor denominator found for the residue within the "
-            "trial budget; this contradicts the decomposition guarantee")
+        raise EngineError("no constant field c with c(h) a nonzerodivisor "
+                          "mod h, though h is reduced")
     return found
 
 
 def residue(omega, D):
-    """The residue xi/g of a logarithmic 1-form, as a MeroFraction."""
+    """The residue xi/g of a logarithmic 1-form, as a MeroFraction.  Every
+    form of D is contracted with the same c, so its denominator is c(h)."""
     cert = residue_certificates(omega, D, count=1)[0]
     den = cert.g
     if isinstance(omega, LogOneForm):

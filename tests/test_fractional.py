@@ -274,6 +274,20 @@ def test_nzd_schedule_ends_when_every_candidate_is_a_zero_divisor():
             FractionalIdeal(D, [D.poly("x")], 1)
 
 
+def test_nzd_schedule_decides_beyond_the_trial_budget():
+    # every combination of x, x^2, x^3 vanishes on {x = 0}: the small
+    # vectors use up the budget and the moment curve points end the search
+    D = node()
+    with deadline(10):
+        assert find_nzd_in(D, [D.poly("x"), D.poly("x^2"), D.poly("x^3")]) is None
+    # on eight lines every c in [-2, 2]^2 lies on a line, so c(h) is a zero
+    # divisor; the first moment curve point (1, 3) does not
+    E = DivisorGerm(["x", "y"],
+                    "x*y*(x-y)*(x+y)*(x-2*y)*(x+2*y)*(2*x-y)*(2*x+y)")
+    coeffs, q = next(nzd_combinations(E, E.partials))
+    assert coeffs == [1, 3] and is_nzd(E, q)
+
+
 def test_as_ideal_gens():
     C = cusp()
     # <x^2, x*y> / x = <x, y> as an ideal of O_D

@@ -18,6 +18,7 @@ from logres.residues import (MeroFraction, residue, residue_certificates,
                              IdempotentData, validate_factorization,
                              ResidueCertificate)
 from logres.fractional import is_nzd
+from conftest import deadline
 
 
 def node():
@@ -88,7 +89,7 @@ def _syzygy_residue(omega, D):
         combos += [(u * g, u * s, [u * p for p in r]) for g, s, r in base]
     for g, s, r in combos:
         if is_nzd(D, g):
-            return ResidueCertificate(g, -s, [-p for p in r])
+            return ResidueCertificate(g, -s, [-p for p in r], Poly.const(n, 1))
     raise AssertionError("the syzygy route found no nonzerodivisor")
 
 
@@ -111,6 +112,51 @@ def test_contraction_residue_agrees_with_syzygy_route(names, text):
         assert old.verify(w.a, D) and new.verify(w.a, D)
         assert MeroFraction(D, new.xi, new.g).equals(
             MeroFraction(D, old.xi, old.g)), text
+    # one contraction field serves every form, so the residues of the dual
+    # basis share one denominator
+    assert len({residue(w, D).den for w in log_forms_basis(M)}) == 1
+
+
+def test_residue_is_the_contraction_before_the_mora_unit():
+    # dx/(x*(1+y)) is logarithmic on x*y*(1+y) only locally, so the division
+    # certifying its residue needs a unit u != 1; the residue stays
+    # <c, a>/c(h) for c = (1, 1)
+    D = DivisorGerm(["x", "y"], "x*y*(1+y)")
+    omega = LogOneForm([D.poly("y"), D.poly("0")])
+    cert = residue_certificates(omega, D)[0]
+    assert cert.verify(omega.a, D)
+    assert not cert.u.is_constant()
+    r = residue(omega, D)
+    assert (r.num, r.den) == (D.poly("y"), D.partials[0] + D.partials[1])
+
+
+# free germs on which every constant field c with entries in [-2, 2] has
+# c(h) a zero divisor: each such c lies on one of the components
+SMALL_FIELDS_FAIL = [
+    (["x", "y"], "x*y*(x-y)*(x+y)*(x-2*y)*(x+2*y)*(2*x-y)*(2*x+y)"),
+    (["x", "y", "z"], "x*y*z*(x+y)*(x-y)*(x+z)*(x-z)*(y+z)*(y-z)"),
+]
+
+
+@pytest.mark.parametrize("names,text", SMALL_FIELDS_FAIL,
+                         ids=[t for _, t in SMALL_FIELDS_FAIL])
+def test_residues_reach_beyond_the_small_fields(names, text):
+    D = DivisorGerm(names, text)
+    with deadline(10):
+        free, M = is_free(D)
+        assert free
+        for w in log_forms_basis(M):
+            cert = residue_certificates(w, D)[0]
+            assert cert.verify(w.a, D) and is_nzd(D, cert.g)
+            assert cert.g == sum((p.scale(3 ** k) for k, p
+                                  in enumerate(D.partials)), Poly.zero(D.n))
+
+
+def test_eight_lines_residue_module():
+    D = DivisorGerm(["x", "y"], SMALL_FIELDS_FAIL[0][1])
+    with deadline(10):
+        assert mu_residues(D) == (2, True)
+        assert gorenstein_singular_locus(D) == "gorenstein"
 
 
 def test_residue_certificates_compute_no_syzygy(monkeypatch):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, ConsistencyError
 from .poly import poly_str, parse
 from .groebner import radical_test, local_dim, _row_echelon
-from .germs import (DivisorGerm, jacobian_ideal, is_free, euler_field,
-                    once_per_germ)
+from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
 from .fractional import FractionalIdeal
 from .residues import (MeroFraction, residue_module, mu_residues,
                        gorenstein_rule, gorenstein_singular_locus,
@@ -189,67 +189,45 @@ def check_normal_crossing_at_origin(D, idem):
     return True, "factors form part of a coordinate system"
 
 
-@once_per_germ
-def _curve_nc_at_origin(D):
-    """Normal crossing for the curve factor: smooth, or an ordinary double
-    point (nondegenerate Hessian)."""
-    setup = _curve_setup(D)
-    if setup is None:
-        return None
-    _, h2 = setup
-    if any(h2.diff(i).constant_term() != 0 for i in range(2)):
-        return True
-    hxx = h2.diff(0).diff(0).constant_term()
-    hxy = h2.diff(0).diff(1).constant_term()
-    hyy = h2.diff(1).diff(1).constant_term()
-    return hxx * hyy - hxy * hxy != 0
+def check_condition_B(D):
+    """Normal crossing in codimension one (B), decided on every germ by one
+    Jacobian criterion.  Returns (verdict, reason).
 
-
-def check_condition_B(D, idem=None):
-    """Normal crossing in codimension one, decided on the classes where the
-    codimension-one behaviour reduces to finitely many checks: smooth germs,
-    curve germs and suspensions (the origin of the curve factor), and a
-    validated factorization idem into smooth factors (pairwise transversality
-    plus no triple contact in codimension one).  Returns (verdict, reason)."""
+    Hypotheses: D = {h = 0} is reduced at the origin of C^n (DivisorGerm
+    certifies h squarefree), so Sing D = V(h, dh) has dimension at most n-2.
+    Theorem: D is normal crossing in codimension one iff <h, dh> plus the
+    2x2 minors of the Hessian of h has local dimension at most n-3.  Proof:
+    B asks for transversal type A1, two smooth sheets meeting transversally,
+    at a generic point of each (n-2)-dimensional component of Sing D.  Where
+    the Hessian has rank 3 or more, the Morse lemma with parameters splits
+    off a nondegenerate quadratic form in 3 variables, so the critical locus
+    has codimension at least 3 there; on such a component the rank is at
+    most 2, and the type is A1 iff it is exactly 2.  The dimension of an
+    ideal generated over Q is its dimension over C.  By the paper's main
+    theorem, B holds iff the logarithmic residues are weakly holomorphic,
+    which analyze checks against condition C."""
     if D.is_smooth:
         return TRUE, "smooth germ"
-    curve = _curve_nc_at_origin(D)
-    if curve is not None:
-        return _tri(curve), "curve factor at the origin"
-    if idem is None:
-        return UNDECIDED, "no decidable class applies"
-    if not idem.smooth:
-        return UNDECIDED, "components are not all smooth at the origin"
-    ok = _arrangement_nc_in_codim1(D, idem.factors)
-    return _tri(ok), "smooth arrangement checks"
-
-
-def _arrangement_nc_in_codim1(D, factors):
     n = D.n
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            fi, fj = factors[i], factors[j]
-            minors = []
-            for a in range(n):
-                for b in range(a + 1, n):
-                    minors.append(fi.diff(a) * fj.diff(b) - fi.diff(b) * fj.diff(a))
-            if local_dim([fi, fj] + minors, n) > n - 3:
-                return False
-            for k in range(j + 1, len(factors)):
-                if local_dim([fi, fj, factors[k]], n) > n - 3:
-                    return False
-    return True
+    if local_dim(D.jacobian_pullback, n) <= n - 3:
+        return TRUE, "singular locus of codimension at least two in D"
+    H = [[p.diff(j) for j in range(n)] for p in D.partials]
+    minors = tuple(H[a][c] * H[b][d] - H[a][d] * H[b][c]
+                   for (a, b), (c, d) in combinations_with_replacement(
+                       combinations(range(n), 2), 2))
+    if local_dim(D.jacobian_pullback + minors, n) <= n - 3:
+        return TRUE, "Hessian of rank 2 off a codimension-two locus of D"
+    return FALSE, "Hessian of rank below 2 along a codimension-one part of Sing D"
 
 
-def crosscheck_free_equivalences(D, factors=None, nd=None, seed=0):
+def crosscheck_free_equivalences(D, nd=None, seed=0):
     """Evaluate (B), (D), (G) on a free divisor and assert that all decided
     verdicts agree (they are equivalent for free divisors).  Disagreement
     aborts with a counterexample dump."""
     free, _ = is_free(D)
     if not free:
         raise InputError("crosscheck_free_equivalences requires a free divisor")
-    idem = IdempotentData(D, factors) if factors is not None else None
-    b, _ = check_condition_B(D, idem)
+    b, _ = check_condition_B(D)
     d, _, _ = check_condition_D(D, seed=seed)
     g, _ = check_condition_G(D, nd)
     return _free_equivalences(D, b, d, g)
@@ -364,20 +342,23 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     d_verdict, d_why, rv = check_condition_D(D, seed=seed)
     witnesses["condition_D"] = d_why
 
+    b_verdict, _ = check_condition_B(D)
     if idem is not None:
         nc, nc_why = check_normal_crossing_at_origin(D, idem)
         f_verdict = _tri(nc)
     elif D.is_smooth:
         f_verdict, nc_why = TRUE, "smooth germ"
+    elif _curve_setup(D) is None:
+        f_verdict, nc_why = UNDECIDED, "no factorization supplied"
     else:
-        curve_nc = _curve_nc_at_origin(D)
-        if curve_nc is None:
-            f_verdict, nc_why = UNDECIDED, "no factorization supplied"
-        else:
-            f_verdict, nc_why = _tri(curve_nc), "curve criterion at the origin"
+        # the singular locus of a curve or suspension is the origin of the
+        # curve factor times the passive variables, so (F) there is (B)
+        f_verdict, nc_why = b_verdict, "curve criterion at the origin"
     witnesses["normal_crossing"] = nc_why
-
-    b_verdict, _ = check_condition_B(D, idem)
+    # normal crossing is an open condition: at the origin it holds nearby
+    if f_verdict == TRUE and b_verdict == FALSE:
+        raise ConsistencyError("(F) true with (B) false: normal crossing "
+                               "at the origin must hold in codimension one")
 
     ds_verdict = None
     if idem is not None:
@@ -427,8 +408,9 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     # the paper's main theorem, for every reduced hypersurface (free or not):
     # D is normal crossing in codimension one iff its logarithmic residues
     # are weakly holomorphic (R_D = O~), extending Le-Saito
-    if b_verdict == TRUE and c_verdict == FALSE:
-        raise ConsistencyError("(B) true with (C) false violates the implication")
+    if c_verdict not in (UNDECIDED, b_verdict):
+        raise ConsistencyError(f"(B) {b_verdict} with (C) {c_verdict} "
+                               f"violates the main theorem")
     if b_verdict == TRUE and c_verdict == TRUE:
         consistency.append("normal_crossing_implies_weak_residues")
     if nd is not None:
@@ -437,12 +419,10 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     # nd_factors is set only when every factor is smooth; then the normalization
     # is the disjoint union of the components, the idempotent module is O~,
     # and R_D equals it iff (C) holds, which by the main theorem forces
-    # normal crossing in codimension one, here pairwise transversality; with
-    # smooth factors (B) is always decided, by the smooth, curve or
-    # arrangement route, and each of them is that transversality
+    # normal crossing in codimension one, here pairwise transversality, which
+    # (B) decides
     if ds_verdict is not None and nd_factors is not None:
-        transversal = b_verdict == TRUE
-        coherent = (ds_verdict == TRUE) == (c_verdict == TRUE and transversal)
+        coherent = (ds_verdict == TRUE) == (c_verdict == b_verdict == TRUE)
         if not coherent:
             raise ConsistencyError("direct-sum verdict incoherent with "
                                    "(C) and transversality")

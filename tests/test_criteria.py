@@ -2,22 +2,26 @@
 
 import hashlib
 import inspect
+import random
+from itertools import combinations
 
 import pytest
 
 from conftest import deadline
 from logres import criteria, fractional, germs, residues
-from logres.errors import InputError
+from logres.errors import InputError, ConsistencyError
 from logres.fractional import FractionalIdeal
-from logres.germs import DivisorGerm
+from logres.germs import DivisorGerm, is_free
+from logres.groebner import local_dim, _row_echelon
+from logres.poly import parse
 from logres.residues import IdempotentData
-from logres.normalization import normalization_from_branches
+from logres.normalization import normalization_from_branches, _curve_setup
 from logres.criteria import (analyze, analyze_text, check_condition_C,
                              check_condition_G, check_condition_D,
                              check_condition_B,
                              check_normal_crossing_at_origin,
                              crosscheck_free_equivalences, classify_gorenstein_suspension,
-                             DivisorReport)
+                             DivisorReport, _tri)
 
 
 def test_condition_C_examples():
@@ -100,20 +104,24 @@ def test_normal_crossing_at_origin():
 def test_condition_B():
     assert check_condition_B(DivisorGerm(["x", "y"], "x*y"))[0] == "true"
     assert check_condition_B(DivisorGerm(["x", "y"], "x^2 - y^3"))[0] == "false"
-    Z = DivisorGerm(["x", "y", "z"], "x*y*z")
-    planes = IdempotentData(Z, [Z.poly("x"), Z.poly("y"), Z.poly("z")])
-    assert check_condition_B(Z, planes)[0] == "true"
-    F = DivisorGerm(["x", "y", "z"], "x*y*(x+y)*(x+y*z)")
-    factors = [F.poly(t) for t in ("x", "y", "x+y", "x+y*z")]
-    assert check_condition_B(F, IdempotentData(F, factors))[0] == "false"
-    W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
-    assert check_condition_B(W, IdempotentData(W, [W.h]))[0] == "undecided"
+    for vars_, poly, verdict in [
+            ("xyz", "x*y*z", "true"),
+            ("xyz", "x*y*(x+y)*(x+y*z)", "false"),
+            # A1 along the z-axis off the origin
+            ("xyz", "x^2 - y^2*z", "true"),
+            # x = y = 0 is a tangency of x*y with x + z^2
+            ("xyz", "x*y*(x+z^2)", "false"),
+            ("xyz", "x*y*z*(1+x)", "true"),
+            ("xyz", "(x^2+y^2)*z", "true"),
+            # an isolated singularity: no singular curve at all
+            ("xyz", "x^3+y^3+z^3", "true")]:
+        assert check_condition_B(DivisorGerm(list(vars_), poly))[0] == verdict, poly
 
 
 def test_crosscheck_free_equivalences():
     D = DivisorGerm(["x", "y"], "x*y")
     nd = normalization_from_branches(D)
-    rec = crosscheck_free_equivalences(D, factors=[D.poly("x"), D.poly("y")], nd=nd)
+    rec = crosscheck_free_equivalences(D, nd=nd)
     assert rec == {"B": "true", "D": "true", "G": "true"}
     C = DivisorGerm(["x", "y"], "x^2 - y^3")
     ndc = normalization_from_branches(C)
@@ -126,6 +134,141 @@ def test_crosscheck_free_equivalences():
     W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
     with pytest.raises(InputError):
         crosscheck_free_equivalences(W)
+
+
+# The two routes that decided (B) before the Jacobian criterion, kept as
+# oracles: the Hessian of the curve factor at the origin, on curve germs and
+# their suspensions, and pairwise transversality with no triple contact in
+# codimension one, on a factorization into smooth factors.
+
+def _curve_nc_oracle(D):
+    """Smooth or an ordinary double point at the origin of the curve factor;
+    None off curve germs and suspensions."""
+    setup = _curve_setup(D)
+    if setup is None:
+        return None
+    _, h2 = setup
+    if any(h2.diff(i).constant_term() != 0 for i in range(2)):
+        return True
+    hxx = h2.diff(0).diff(0).constant_term()
+    hxy = h2.diff(0).diff(1).constant_term()
+    hyy = h2.diff(1).diff(1).constant_term()
+    return hxx * hyy - hxy * hxy != 0
+
+
+def _arrangement_nc_oracle(D, factors):
+    n = D.n
+    for i, fi in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            fj = factors[j]
+            minors = [fi.diff(a) * fj.diff(b) - fi.diff(b) * fj.diff(a)
+                      for a, b in combinations(range(n), 2)]
+            if local_dim([fi, fj] + minors, n) > n - 3:
+                return False
+            if any(local_dim([fi, fj, fk], n) > n - 3
+                   for fk in factors[j + 1:]):
+                return False
+    return True
+
+
+def _linear_form(names, coeffs):
+    return " + ".join(f"({c})*{v}" for c, v in zip(coeffs, names) if c)
+
+
+def _normals(rng, n, count, span=None):
+    """count pairwise independent integer normals in Z^n; with span, each is
+    an integer combination of the two normals in span."""
+    out = []
+    while len(out) < count:
+        if span is None:
+            v = [rng.randint(-3, 3) for _ in range(n)]
+        else:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            v = [a * p + b * q for p, q in zip(*span)]
+        if any(v) and all(len(_row_echelon([v, w])) == 2 for w in out):
+            out.append(v)
+    return out
+
+
+def _seeded_germs(rng):
+    """(label, names, factor texts, expected (B) or None); the factors of
+    the curve germs are not smooth, every other factor is linear."""
+    xy, xyz = ["x", "y"], ["x", "y", "z"]
+    germs_ = []
+    for _ in range(6):
+        k = rng.randint(2, 4)
+        normals = _normals(rng, 2, k)
+        germs_.append(("lines", xy, [_linear_form(xy, v) for v in normals],
+                       k == 2))
+    for _ in range(6):
+        normals = _normals(rng, 3, rng.randint(2, 4))
+        germs_.append(("planes", xyz, [_linear_form(xyz, v) for v in normals],
+                       None))
+    for _ in range(3):
+        # three planes through one line, and a fourth plane off it
+        (a1, a2, a3), (b1, b2, b3) = span = _normals(rng, 3, 2)
+        normals = _normals(rng, 3, 3, span=span)
+        if rng.random() < 0.5:
+            # the cross product of the spanning normals is outside their span
+            normals.append([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3,
+                            a1 * b2 - a2 * b1])
+        germs_.append(("pencil", xyz, [_linear_form(xyz, v) for v in normals],
+                       False))
+    for _ in range(4):
+        while True:
+            A = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            if len(_row_echelon(A)) == 3:
+                break
+        k = rng.randint(1, 3)
+        germs_.append(("coordinates", xyz,
+                       [_linear_form(xyz, row) for row in A[:k]], True))
+    for _ in range(4):
+        a, b = rng.randint(2, 5), rng.randint(3, 6)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        names = rng.choice([xy, xyz])
+        # neither smooth nor a node at the origin
+        germs_.append(("quasihomogeneous", names,
+                       [f"x^{a} + ({c})*y^{b}"], False))
+    for _ in range(4):
+        while True:
+            p, q, r = (rng.randint(-3, 3) for _ in range(3))
+            if q * q != 4 * p * r:
+                break
+        cubic = " + ".join(f"({rng.randint(-2, 2)})*{m}"
+                           for m in ("x^3", "x^2*y", "x*y^2", "y^3"))
+        names = rng.choice([xy, xyz])
+        germs_.append(("node", names,
+                       [f"({p})*x^2 + ({q})*x*y + ({r})*y^2 + {cubic}"], True))
+    return germs_
+
+
+def test_condition_B_agrees_with_the_old_routes_on_seeded_germs():
+    rng = random.Random(2011)
+    checked = 0
+    with deadline(10):
+        for label, names, texts, expected in _seeded_germs(rng):
+            factors = [parse(t, names) for t in texts]
+            h = factors[0]
+            for f in factors[1:]:
+                h = h * f
+            try:
+                D = DivisorGerm(names, h)
+            except InputError:
+                continue  # a random cubic term made h not squarefree
+            b = check_condition_B(D)[0]
+            assert b in ("true", "false"), (label, D)
+            if label not in ("quasihomogeneous", "node"):
+                assert b == _tri(_arrangement_nc_oracle(D, factors)), (label, D)
+            curve = _curve_nc_oracle(D)
+            if curve is not None:
+                assert b == _tri(curve), (label, D)
+            if expected is not None:
+                assert b == _tri(expected), (label, D)
+            if is_free(D)[0]:
+                d = check_condition_D(D)[0]
+                assert d in ("undecided", b), (label, D, d)
+            checked += 1
+    assert checked >= 25
 
 
 def test_classify_gorenstein_suspension():
@@ -297,11 +440,10 @@ def test_analyze_rejects_empty_factor_list():
 
 # the work each fact costs, wrapped where it is done: log_derivations
 # inside is_free, the division by the partials inside euler_field, the
-# curve criterion behind its per-germ memo, the factorization check, the
-# idempotents, the comparison of fractional ideals, and the transversality
-# check of a smooth arrangement
-WORK = ("log_derivations", "euler_division", "curve_criterion",
-        "validate_factorization", "IdempotentData", "equals", "arrangement")
+# factorization check, the idempotents, the comparison of fractional ideals,
+# and condition (B), which also decides (F) on a curve germ without factors
+WORK = ("log_derivations", "euler_division", "validate_factorization",
+        "IdempotentData", "equals", "condition_B")
 
 
 def _count_work(monkeypatch):
@@ -313,15 +455,13 @@ def _count_work(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    curve = criteria._curve_nc_at_origin
     for target, attr, name in (
             (germs, "log_derivations", "log_derivations"),
             (germs, "_partials_basis", "euler_division"),
-            (curve, "__wrapped__", "curve_criterion"),
             (residues, "validate_factorization", "validate_factorization"),
             (residues.IdempotentData, "__init__", "IdempotentData"),
             (FractionalIdeal, "equals", "equals"),
-            (criteria, "_arrangement_nc_in_codim1", "arrangement")):
+            (criteria, "check_condition_B", "condition_B")):
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
     # as in a fresh process: the first R_D of the germ is computed and
     # certified
@@ -331,19 +471,33 @@ def _count_work(monkeypatch):
 
 @pytest.mark.parametrize("vars_,poly,factors,expected", [
     ("xy", "x^2 - y^3", None,
-     {"log_derivations": 1, "euler_division": 1, "curve_criterion": 1}),
+     {"log_derivations": 1, "euler_division": 1, "condition_B": 1}),
     ("xyz", "x*y*z", "x;y;z",
      {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
-      "arrangement": 1}),
+      "condition_B": 1}),
     ("xyz", "x*y*(x+y)*(x+y*z)", "x;y;x+y;x+y*z",
      {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
-      "arrangement": 1}),
+      "condition_B": 1}),
 ])
 def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
                                          expected):
     calls = _count_work(monkeypatch)
     analyze_text(list(vars_), poly, factors)
     assert {k: calls[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("vars_,poly,factors,match", [
+    # (F) true from the factors: normal crossing at the origin holds nearby
+    ("xyz", "x*y*z", "x;y;z", r"\(F\) true with \(B\) false"),
+    # not free, and (C) true by integral equations
+    ("xyz", "x^2 - y^2*z", None, "main theorem"),
+])
+def test_analyze_rejects_condition_B_false_against_F_or_C(monkeypatch, vars_,
+                                                          poly, factors, match):
+    monkeypatch.setattr(criteria, "check_condition_B",
+                        lambda D: ("false", "forced"))
+    with pytest.raises(ConsistencyError, match=match):
+        analyze_text(list(vars_), poly, factors)
 
 
 def test_analyze_computes_freeness_and_mu_once(monkeypatch):
@@ -375,9 +529,12 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # unchanged.  The curves were taken from the code before the sparse kernel,
 # the S-pair pruning and the reducer reuse; the two surfaces, which take the
 # non-free dual path, from the code before the in-place dividend and the
-# generator-product certificate; x*y*(x+y+z) from the code before the
-# nonzerodivisor test by local dimension; four-planes-family, analysed with
-# its factors, from the code before the residues by contraction.
+# generator-product certificate; four-planes-family, analysed with its
+# factors, from the code before the residues by contraction.  x*y*z*(x+y+z),
+# x^3+y^3+z^3 and x*y*(x+y+z) were retaken when condition (B) became decided
+# on every germ by the Jacobian criterion: each gains the consistency entry
+# normal_crossing_implies_weak_residues, and on the free x*y*(x+y+z)
+# free_equivalences.B moves from undecided to true; nothing else changed.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "0003ac788881d9a5ba98798b881261bd1abc01861ee56046653828fe183bdac8"),
@@ -386,11 +543,11 @@ GOLDEN_REPORTS = [
     ("x*y*(x-y)*(x+y)",
      "f97f11d0fe9354b3c132677d6b056dab72f5c0ceedea01102f8fee724ccc23dd"),
     ("x*y*z*(x+y+z)",
-     "5b7ff569816f930b7cb576bd097e5b8bacd4587ab5fb1ec808eaf21636938d69"),
+     "b2f54b360d6b550777304d52468f34398a5349a6c715e970efbda3068edcee3b"),
     ("x^3+y^3+z^3",
-     "8e5606259bdfe1cf99d54e1b187e17000d4d21255fdb111d39067a9e0b1e41db"),
+     "133804b7be67062203a8e885ddffa5f9c398af5f32d0038ca908775814777dc8"),
     ("x*y*(x+y+z)",
-     "1a55e401e3927371857b9e53326a4f05a4380cd367eb9ce4b6ebe3e53cd34eea"),
+     "998c5a04b62110580270997d21045e4a1f114f7636a6377326bc4712c24ac2bb"),
     ("x*y*(x+y)*(x+y*z)",
      "29643a9b38b514820ed26138c580c6622c4a0713f4112a66661adca15f76def8"),
 ]

@@ -4,8 +4,7 @@ ideal, conductor comparison, and normal crossing criteria."""
 
 from .errors import (LogresError, ParseError, InputError, EngineError,
                      ConsistencyError)
-from .poly import Poly, Order, parse, poly_str, poly_gcd, exact_div, \
-    squarefree_check
+from .poly import Poly, Order, parse, poly_str, poly_gcd, exact_div
 from .groebner import (Vec, ModOrder, standard_basis, normal_form,
                        division_certificate, syzygies, ideal_quotient,
                        radical_test, min_generators_local, local_colength,
@@ -13,8 +12,7 @@ from .groebner import (Vec, ModOrder, standard_basis, normal_form,
 from .germs import (DivisorGerm, VectorField, SaitoMatrix, LogOneForm,
                     EulerField, jacobian_ideal, log_derivations, is_free,
                     euler_field, log_forms_basis)
-from .fractional import (FractionalIdeal, is_nzd, nzd_witness,
-                         nzd_witness_quotient)
+from .fractional import FractionalIdeal, is_nzd, nzd_witness
 from .residues import (MeroFraction, residue, residue_certificates,
                        residue_module, sigma_check, mu_residues,
                        gorenstein_singular_locus, direct_sum_check,

@@ -2,11 +2,12 @@
 
     logres analyze --vars x,y --poly "x*y" [--factors "x;y"]
                    [--branches file.json] [--format text|json]
-                   [--precision N] [--seed S] [--timings]
+                   [--seed S] [--timings]
     logres corpus  [--only NAME] [--seed S]
 
-Exit codes: 0 success, 1 corpus mismatch, 2 invalid input,
-3 internal consistency failure (a proven equivalence was violated).
+Exit codes: 0 success, 1 corpus mismatch, 2 invalid input (such as an h
+that is not reduced at the origin), 3 internal consistency failure (a
+proven equivalence was violated).
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ def _build_parser():
     a.add_argument("--branches", default=None,
                    help="path to a JSON file with branch parametrizations")
     a.add_argument("--format", choices=("text", "json"), default="text")
-    a.add_argument("--precision", type=int, default=None,
-                   help="truncation override for branch computations, >= 1")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--timings", action="store_true",
                    help="include the elapsed time in the report "
@@ -68,7 +67,7 @@ def cmd_analyze(args):
         with open(args.branches, "r", encoding="utf-8") as fh:
             branches = branches_from_json(fh.read(), D)
     report = analyze(D, factors=factors, branches=branches, seed=args.seed,
-                     precision=args.precision, want_timings=args.timings)
+                     want_timings=args.timings)
     if args.format == "json":
         print(report.to_json(indent=2))
     else:

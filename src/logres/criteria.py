@@ -193,8 +193,8 @@ def check_condition_B(D):
     """Normal crossing in codimension one (B), decided on every germ by one
     Jacobian criterion.  Returns (verdict, reason).
 
-    Hypotheses: D = {h = 0} is reduced at the origin of C^n (DivisorGerm
-    certifies h squarefree), so Sing D = V(h, dh) has dimension at most n-2.
+    Hypotheses: D = {h = 0} is reduced at the origin of C^n, which
+    DivisorGerm certifies as Sing D = V(h, dh) of dimension at most n-2.
     Theorem: D is normal crossing in codimension one iff <h, dh> plus the
     2x2 minors of the Hessian of h has local dimension at most n-3.  Proof:
     B asks for transversal type A1, two smooth sheets meeting transversally,
@@ -278,12 +278,9 @@ def classify_gorenstein_suspension(D, gorenstein=None):
 # the aggregator
 
 
-def analyze(D, factors=None, branches=None, seed=0, precision=None,
-            want_timings=False):
+def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     """Run every decision procedure on the germ, verify the proven
     equivalences, and assemble the report."""
-    if precision is not None and precision < 1:
-        raise InputError(f"precision must be at least 1, got {precision}")
     t_start = time.perf_counter()
     witnesses = {}
     consistency = []
@@ -312,8 +309,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
     nd = None
     nd_factors = None
     if _curve_setup(D) is not None:
-        nd = normalization_from_branches(D, branches=branches,
-                                         precision=precision)
+        nd = normalization_from_branches(D, branches=branches)
         if nd is None:
             witnesses["normalization"] = ("rational Newton-Puiseux expansion "
                                           "unsupported and no branches supplied")
@@ -448,7 +444,7 @@ def analyze(D, factors=None, branches=None, seed=0, precision=None,
             "branches": "supplied" if branches else
                         (nd.source if nd is not None else None),
         },
-        "config": {"seed": seed, "precision": precision},
+        "config": {"seed": seed},
         "verdicts": verdicts,
         "witnesses": witnesses,
         "consistency": consistency,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError, EngineError
-from .poly import Poly, poly_str, exact_div, poly_gcd, exp_deg
+from .poly import Poly, poly_str, exact_div, exp_deg
 from .groebner import (ideal_quotient, division_certificate, standard_basis,
                        ModOrder, leads_dim)
 
@@ -52,21 +52,17 @@ def nzd_witness(D, q):
     w*q in <h> but w not in <h> locally.
 
     The verdict is is_nzd's.  Only for a zero divisor is the witness
-    computed, as h/gcd(q, h): for squarefree h the zero divisors mod h are
-    the elements sharing with h an irreducible factor that vanishes at the
-    origin (a local branch of an irreducible polynomial is Zariski dense in
-    its zero set), and h/gcd is nonzero on that factor.  The quotient
-    characterization (<h> : q) = <h> is kept as an independent oracle, see
-    nzd_witness_quotient."""
+    computed: q is a zero divisor iff (<h> : q) is larger than <h> in the
+    local ring, and w is the first generator of the ideal quotient that
+    lies outside <h> locally."""
     if q.is_zero:
         return Poly.const(D.n, 1)
     if is_nzd(D, q):
         return None
-    g = poly_gcd(q, D.h)
-    w = exact_div(D.h, g)
-    if g.constant_term() != 0 or w is None:
-        raise EngineError("the dimension and gcd nonzerodivisor tests disagree")
-    return w
+    for w in ideal_quotient([D.h], [q], D.global_order):
+        if not D.in_h(w):
+            return w
+    raise EngineError("the dimension and quotient nonzerodivisor tests disagree")
 
 
 def require_nzd(D, q):
@@ -74,18 +70,6 @@ def require_nzd(D, q):
     if not is_nzd(D, q):
         raise InputError(f"denominator {poly_str(q, D.names)} is a zero divisor "
                          f"mod h (witness {poly_str(nzd_witness(D, q), D.names)})")
-
-
-def nzd_witness_quotient(D, q):
-    """The quotient-ideal form of the nonzerodivisor test: q is a
-    nonzerodivisor mod h iff (<h> : q) = <h> in the local ring."""
-    if q.is_zero:
-        return Poly.const(D.n, 1)
-    Q = ideal_quotient([D.h], [q], D.global_order)
-    for w in Q:
-        if not D.in_h(w):
-            return w
-    return None
 
 
 def _nzd_schedule(m):

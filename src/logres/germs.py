@@ -1,12 +1,13 @@
 """Reduced hypersurface germs and their logarithmic vector fields.
 
-A DivisorGerm is a squarefree polynomial h with h(0) = 0, carried with its
-variable names, cached Jacobian data and the facts of the germ alone, such
-as freeness and the Euler field (see once_per_germ).  Logarithmic vector
-fields are the syzygies of (dh/dx_1, ..., dh/dx_n, h) projected to the
-first n slots; freeness is decided by the minimal local generator count
-together with a determinant certificate det(M) = unit * h (Saito's
-criterion), each side certifying the other.
+A DivisorGerm is a polynomial h with h(0) = 0 that is reduced at the
+origin, carried with its variable names, cached Jacobian data and the
+facts of the germ alone, such as freeness and the Euler field (see
+once_per_germ).  Logarithmic vector fields are the syzygies of
+(dh/dx_1, ..., dh/dx_n, h) projected to the first n slots; freeness is
+decided by the minimal local generator count together with a determinant
+certificate det(M) = unit * h (Saito's criterion), each side certifying
+the other.
 """
 
 from __future__ import annotations
@@ -15,14 +16,22 @@ from fractions import Fraction
 from functools import cached_property, wraps
 
 from .errors import InputError, EngineError, ParseError
-from .poly import Poly, Order, parse, poly_str, exact_div, squarefree_check
+from .poly import Poly, Order, parse, poly_str, exact_div
 from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
                        syzygies, division_certificate, min_generators_local,
-                       standard_basis)
+                       standard_basis, local_dim)
 
 
 class DivisorGerm:
-    """A reduced hypersurface germ {h = 0} at the origin of C^n."""
+    """A reduced hypersurface germ {h = 0} at the origin of C^n.
+
+    h is required to be reduced at the origin, not squarefree as a
+    polynomial: a repeated factor that misses the origin is a unit of the
+    local ring, so x*(y-1)^2 is the germ of x.  The test is the Jacobian
+    criterion: h has a repeated factor through the origin iff h and its
+    partials vanish on a whole component of {h = 0} there, iff
+    <h, dh> has local dimension n-1 rather than at most n-2.  It reads the
+    cached local standard basis that jacobian_gens shares."""
 
     def __init__(self, names, h):
         self.names = tuple(names)
@@ -45,8 +54,9 @@ class DivisorGerm:
             raise InputError("h(0) must vanish: the divisor passes through the origin")
         self.h = h
         self.partials = tuple(h.diff(i) for i in range(self.n))
-        if not squarefree_check(h, self.partials):
-            raise InputError("h is not squarefree: the divisor must be reduced")
+        if local_dim(self.jacobian_pullback, self.n) > self.n - 2:
+            raise InputError("h is not squarefree at the origin: the divisor "
+                             "must be reduced")
         self.local_order = Order("ds", self.n)
         self.global_order = Order("degrevlex", self.n)
         # the results of the once_per_germ functions, by function name

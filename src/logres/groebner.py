@@ -135,16 +135,17 @@ class ModOrder:
 
 
 class _Elem:
-    """A nonzero module element with its lead and lead coefficient under the
-    order of the computation: a basis element, and the one reducer type of
-    division."""
+    """A nonzero module element with its lead, lead coefficient and ecart
+    under the order of the computation: a basis element, and the one reducer
+    type of division."""
 
-    __slots__ = ("vec", "lead", "coeff", "sugar", "trow", "mono")
+    __slots__ = ("vec", "lead", "coeff", "ecart", "sugar", "trow", "mono")
 
     def __init__(self, vec, mo, sugar=0, trow=None):
         self.vec = vec
         self.lead = mo.lead(vec)
         self.coeff = mo.lead_coeff(vec, self.lead)
+        self.ecart = vec.total_degree() - exp_deg(self.lead[1])
         self.sugar = sugar
         self.trow = trow
         # a single term: the S-vector of two such elements is zero
@@ -311,8 +312,7 @@ def mora_nf(f, reducers, mo, want_cert=True):
             q = list(zero_q)
             q[i] = Poly.const(n, -1)
             cert = (Poly.zero(n), q)
-        pool.append((red.vec, red.lead, red.coeff,
-                     red.vec.total_degree() - exp_deg(red.lead[1]), cert))
+        pool.append((red.vec, red.lead, red.coeff, red.ecart, cert))
 
     h = _Dividend(f, mo, track_degree=True)
     # the certificate of h, as dicts updated in place like h

@@ -31,7 +31,7 @@ from math import gcd as int_gcd
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, ZERO, ONE
 from .groebner import local_colength, kernel_basis
-from .fractional import FractionalIdeal, is_nzd
+from .fractional import FractionalIdeal, nzd_combinations
 
 MAX_EXPANSION_DEPTH = 64
 
@@ -554,11 +554,13 @@ def conductor_bound(D):
     return mu + mult - 1, mu
 
 
-def normalization_from_branches(D, branches=None, precision=None):
+def normalization_from_branches(D, branches=None):
     """Assemble NormalizationData for a plane-curve germ or suspension.
     User-supplied branches always win over the internal expansion; both paths
-    run the same certification.  Without supplied branches, a germ whose
-    rational expansion is unsupported gets None."""
+    run the same certification.  The internal expansion is taken at
+    truncation 2*cb + 16 for the conductor bound cb, and again at the
+    certification bound when that is higher.  Without supplied branches, a
+    germ whose rational expansion is unsupported gets None."""
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("germ outside the supported class "
@@ -572,7 +574,7 @@ def normalization_from_branches(D, branches=None, precision=None):
         return 2 * K + cb + 8
 
     if branches is None:
-        prec0 = precision or (2 * cb + 16)
+        prec0 = 2 * cb + 16
         branches = puiseux_rational(D, precision=prec0)
         if branches is None:
             return None
@@ -646,23 +648,12 @@ def normalization_from_branches(D, branches=None, precision=None):
          "denominator": poly_str(qden, D.names)})
 
 
-def _line_schedule(D, cvars):
-    """Candidate linear forms in the curve variables, deterministic order."""
-    u = Poly.variable(D.n, cvars[0])
-    v = Poly.variable(D.n, cvars[1])
-    yield u
-    yield v
-    for a, b in ((1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-        yield u.scale(a) + v.scale(b)
-
-
 def _denominator_form(D, cvars, branches):
-    """(ell, its valuation on each branch) for the first linear form of the
-    schedule that is a nonzerodivisor with valuations readable at the
-    branches' truncation."""
-    for ell in _line_schedule(D, cvars):
-        if not is_nzd(D, ell):
-            continue
+    """(ell, its valuation on each branch) for the first nonzerodivisor of
+    nzd_combinations over the two curve variables whose valuations are
+    readable at the branches' truncation."""
+    gens = [Poly.variable(D.n, i) for i in cvars]
+    for _, ell in nzd_combinations(D, gens):
         try:
             return ell, [_branch_valuation(pullback(ell, b, D), "a linear form")
                          for b in branches]

@@ -13,7 +13,8 @@ grammar used by every higher layer and the CLI,
     factor := base ('^' uint)?
     base   := rational | var | '(' expr ')'
 
-and a primitive-PRS multivariate gcd, which backs the squarefree test.
+and a primitive-PRS multivariate gcd, a reference the analysis itself
+never calls.
 """
 
 from __future__ import annotations
@@ -559,19 +560,3 @@ def poly_gcd(p, q):
         a, b = b, r
     _, a = content_and_primitive(a)
     return _normalize_primitive(cont * a)
-
-
-def squarefree_check(h, partials=None):
-    """True iff h has no repeated irreducible factor, via the characteristic-
-    zero criterion gcd(h, dh/dx_1, ..., dh/dx_n) constant."""
-    if h.is_zero:
-        raise ValueError("squarefree test needs a nonzero polynomial")
-    g = h
-    for i in range(h.n):
-        hi = partials[i] if partials else h.diff(i)
-        if hi.is_zero:
-            continue
-        g = poly_gcd(g, hi)
-        if g.is_constant():
-            return True
-    return g.is_constant()

@@ -193,8 +193,10 @@ def gorenstein_singular_locus(D):
 def validate_factorization(D, factors):
     """Check: no factor zero, factors pairwise distinct, product equal to h
     up to a nonzero constant; returns that constant.  The product check is
-    enough: h is squarefree (DivisorGerm certifies it), so a squared factor
-    or a factor shared by two of the given ones would divide h twice.
+    enough at the origin: h is reduced there (DivisorGerm certifies it), so
+    a squared factor or a factor shared by two of the given ones would make
+    h vanish twice on a component through the origin.  A repeated factor
+    that misses the origin is a unit of the local ring and is allowed.
     IdempotentData runs it once, on construction."""
     factors = list(factors)
     if not factors:

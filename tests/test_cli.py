@@ -65,11 +65,11 @@ def test_analyze_parse_error_exit_2(capsys):
     assert main(["analyze", "--vars", "x", "--poly", "x*("]) == 2
 
 
-def test_analyze_precision_below_one_exit_2(capsys):
-    for precision in ("0", "-3"):
-        assert main(["analyze", "--vars", "x,y", "--poly", "x^2-y^3",
-                     "--precision", precision]) == 2
-        assert "precision must be at least 1" in capsys.readouterr().err
+def test_analyze_has_no_precision_option_exit_2(capsys):
+    # the truncation of branch computations is certified, not a knob
+    assert main(["analyze", "--vars", "x,y", "--poly", "x^2-y^3",
+                 "--precision", "3"]) == 2
+    assert "--precision" in capsys.readouterr().err
 
 
 def test_analyze_branches_file(tmp_path, capsys):

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from logres import fractional, groebner, poly
+from logres import fractional, germs, groebner, poly
 from logres.corpus import CORPUS
 from logres.errors import InputError
 from logres.germs import DivisorGerm, jacobian_ideal
-from logres.poly import Poly, poly_gcd
+from logres.poly import Poly, poly_gcd, exact_div
 from logres.fractional import (FractionalIdeal, is_nzd, nzd_witness,
-                               nzd_witness_quotient, find_nzd_in,
-                               nzd_combinations)
+                               find_nzd_in, nzd_combinations)
 from conftest import deadline
 
 
@@ -23,25 +22,27 @@ def cusp():
     return DivisorGerm(["x", "y"], "x^2 - y^3")
 
 
-def test_nzd_witness_and_quotient_oracle_agree():
-    D = node()
-    cases = ["x", "y", "x + y", "x - y", "1 + x", "x^2", "x + y^2"]
-    for text in cases:
-        q = D.poly(text)
-        fast = nzd_witness(D, q)
-        slow = nzd_witness_quotient(D, q)
-        assert (fast is None) == (slow is None), text
-        if fast is not None:
-            # both witnesses certify: w*q in <h>, w not in <h> locally
-            for w in (fast, slow):
-                assert D.in_h(w * q)
-                assert not D.in_h(w)
-
-
 def gcd_is_nzd(D, q):
-    """The former global test, kept as a reference: for squarefree h, q is a
-    nonzerodivisor mod h iff gcd(q, h) does not vanish at the origin."""
+    """The former global test, kept as a reference: for h reduced at the
+    origin, q is a nonzerodivisor mod h iff gcd(q, h) does not vanish at
+    the origin."""
     return not q.is_zero and poly_gcd(q, D.h).constant_term() != 0
+
+
+def gcd_witness(D, q):
+    """The reference witness: h/gcd(q, h) for a zero divisor q, None
+    otherwise.  In a UFD (<h> : q) = <h/gcd(q, h)>, so the
+    ideal-quotient witness is a constant multiple of it."""
+    g = poly_gcd(q, D.h)
+    return None if g.constant_term() != 0 else exact_div(D.h, g)
+
+
+def test_nzd_witness_matches_the_gcd_oracle():
+    D = node()
+    cases = ["x", "y", "x + y", "x - y", "1 + x", "x^2", "x + y^2",
+             "x*(1 + y)", "x*y"]
+    for text in cases:
+        _assert_nzd_verdicts_agree(D, D.poly(text))
 
 
 def _random_poly(rng, n, degree=2, terms=3):
@@ -83,12 +84,13 @@ def _random_candidates(D, factors, rng, count):
 def _assert_nzd_verdicts_agree(D, q):
     fast = is_nzd(D, q)
     assert fast == gcd_is_nzd(D, q), D.str_of(q)
-    assert fast == (nzd_witness_quotient(D, q) is None), D.str_of(q)
     w = nzd_witness(D, q)
     assert fast == (w is None), D.str_of(q)
     if w is not None:
         assert D.in_h(w * q)
         assert not D.in_h(w)
+        ref = gcd_witness(D, q)
+        assert exact_div(w, ref).is_constant(), D.str_of(q)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
@@ -120,8 +122,8 @@ def _count_gcd(monkeypatch):
     def counted(*args):
         calls.append(args)
         return poly_gcd(*args)
-    monkeypatch.setattr(poly, "poly_gcd", counted)
-    monkeypatch.setattr(fractional, "poly_gcd", counted)
+    for module in (poly, germs, fractional):
+        monkeypatch.setattr(module, "poly_gcd", counted, raising=False)
     return calls
 
 
@@ -129,10 +131,10 @@ def _count_gcd(monkeypatch):
                                   "whitney-umbrella", "non-quasihomogeneous"])
 def test_fractional_ideals_compute_no_gcd(name, monkeypatch):
     entry = next(e for e in CORPUS if e["name"] == name)
-    # the germ's own squarefree check is the one gcd left
-    D = DivisorGerm(entry["vars"], entry["poly"])
     monkeypatch.setattr(fractional, "_NZD_CACHE", {})
     calls = _count_gcd(monkeypatch)
+    # the germ decides its reducedness by local dimension, not by a gcd
+    D = DivisorGerm(entry["vars"], entry["poly"])
     J = FractionalIdeal(D, jacobian_ideal(D), 1)
     R = J.dual()
     FractionalIdeal.make([(p, R.den) for p in R.num], D)
@@ -142,10 +144,12 @@ def test_fractional_ideals_compute_no_gcd(name, monkeypatch):
 
 def test_is_nzd_leaves_the_basis_cache_alone(monkeypatch):
     monkeypatch.setattr(fractional, "_NZD_CACHE", {})
+    # a germ reads the cached basis of <h, dh> on construction, so the
+    # germs are built before the snapshot
+    built = [(DivisorGerm(e["vars"], e["poly"]), e["name"]) for e in CORPUS[:6]]
     before = groebner._std_cached.cache_info()
-    for entry in CORPUS[:6]:
-        D = DivisorGerm(entry["vars"], entry["poly"])
-        rng = random.Random(entry["name"])
+    for D, name in built:
+        rng = random.Random(name)
         qs = [_random_poly(rng, D.n) for _ in range(8)] + list(D.partials)
         for _ in range(3):
             for q in qs:

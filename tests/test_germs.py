@@ -16,7 +16,7 @@ def make(vars_, text):
 
 def test_germ_validation():
     with pytest.raises(InputError):
-        make(["x", "y"], "x^2*y")      # not squarefree
+        make(["x", "y"], "x^2*y")      # not reduced at the origin
     with pytest.raises(InputError):
         make(["x"], "x + 1")           # does not pass through the origin
     with pytest.raises(InputError):

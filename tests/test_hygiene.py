@@ -44,9 +44,6 @@ ALLOWED = {
 PUBLIC_ALLOWED = {
     ("residues", "sigma_check"):
         "the paper's dual residue pairing, an oracle the tests assert",
-    ("fractional", "nzd_witness_quotient"):
-        "the ideal-quotient nonzerodivisor oracle that nzd_witness is "
-        "tested against",
     ("criteria", "crosscheck_free_equivalences"):
         "oracle of the proven equivalences for free divisors, used by the "
         "acceptance tests",
@@ -303,3 +300,22 @@ def test_scan_sees_unread_imports():
         "from .errors import", 1)
     assert unread_imports({"groebner": text}) == [
         ("groebner", "exact_div"), ("groebner", "poly_gcd")]
+
+
+def test_the_analysis_calls_no_gcd():
+    # poly_gcd is a reference the tests compare against: outside its own
+    # definition only the package exports name it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name == "poly_gcd":
+                continue
+            found.extend(path.stem for node in ast.walk(top)
+                         if getattr(node, "id", None) == "poly_gcd"
+                         or getattr(node, "attr", None) == "poly_gcd"
+                         or (isinstance(node, ast.alias)
+                             and node.name == "poly_gcd"))
+    assert not found, "poly_gcd named in: " + ", ".join(found)

@@ -1,14 +1,16 @@
-"""Polynomial arithmetic, parsing, orders, gcd and the squarefree test."""
+"""Polynomial arithmetic, parsing, orders and gcd, and the reducedness of a
+germ at the origin against gcd and ideal-quotient oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from logres.errors import ParseError
-from logres.poly import (Poly, Order, parse, poly_str, poly_gcd, exact_div,
-                         squarefree_check)
+from logres.errors import ParseError, InputError
+from logres.poly import Poly, Order, parse, poly_str, poly_gcd, exact_div
 from logres.groebner import ideal_quotient, ideal_equal
+from logres.germs import DivisorGerm
+from conftest import deadline
 
 
 V2 = ["x", "y"]
@@ -108,14 +110,28 @@ def test_differentiate_leibniz_randomized():
             assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
 
+def _accepted(names, h):
+    """Whether DivisorGerm takes h, the germ of {h = 0} at the origin."""
+    try:
+        DivisorGerm(names, h)
+    except InputError as e:
+        assert "squarefree" in str(e)
+        return False
+    return True
+
+
 def test_squarefree():
-    assert not squarefree_check(parse("x^2*y", V2))
-    assert squarefree_check(parse("x*y*(x+y)*(x+y*z)", V3))
-    assert squarefree_check(parse("x^2 - y^3", V2))
+    # squarefree at the origin: a repeated factor that misses it is a unit
+    assert not _accepted(V2, parse("x^2*y", V2))
+    assert _accepted(V3, parse("x*y*(x+y)*(x+y*z)", V3))
+    assert _accepted(V2, parse("x^2 - y^3", V2))
+    assert _accepted(V2, parse("x*(y-1)^2", V2))
+    assert not _accepted(V2, parse("x^2*y*(1+x)", V2))
 
 
 def test_squarefree_against_quotient_oracle():
-    # independent oracle: h is squarefree iff (<h> : <partials>) = <h>
+    # independent oracle: h is squarefree iff (<h> : <partials>) = <h>; every
+    # factor here passes through the origin, where squarefree means reduced
     order = Order("degrevlex", 2)
     for text, expect in [("x^2*y", False), ("x*y", True),
                          ("x^2 - y^3", True), ("x^2*(x+y)", False),
@@ -124,8 +140,46 @@ def test_squarefree_against_quotient_oracle():
         partials = [h.diff(i) for i in range(2) if not h.diff(i).is_zero]
         quot = ideal_quotient([h], partials, order)
         oracle = ideal_equal(quot, [h], order)
-        assert squarefree_check(h) is expect
+        assert _accepted(V2, h) is expect
         assert oracle is expect
+
+
+def _random_factor(rng, n, constants=(0, 0, 1, -2)):
+    """A nonconstant factor of degree at most 2 with small coefficients,
+    through the origin or not."""
+    while True:
+        f = Poly.const(n, rng.choice(constants))
+        for i in range(n):
+            f = f + Poly.variable(n, i).scale(rng.randint(-2, 2))
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            f = f + (Poly.variable(n, i) * Poly.variable(n, j)).scale(
+                rng.choice([-1, 1]))
+        if not f.is_constant():
+            return f
+
+
+def test_germ_is_reduced_iff_the_gcd_with_the_partials_is_a_unit():
+    # seeded products with repeated factors: h is reduced at the origin iff
+    # every repeated factor misses it, iff g = gcd(h, dh/dx_1, ...) does not
+    # vanish there; a repeated factor away from the origin is a unit
+    rng = random.Random("reduced at the origin")
+    seen = set()
+    with deadline(60):
+        for names in [V2] * 24 + [V3] * 8:
+            n = len(names)
+            h = _random_factor(rng, n, constants=(0,)) ** rng.randint(1, 2)
+            for _ in range(rng.randint(0, 2)):
+                f = _random_factor(rng, n) ** rng.randint(1, 2)
+                if h.total_degree() + f.total_degree() <= 6:
+                    h = h * f
+            g = h
+            for i in range(n):
+                g = poly_gcd(g, h.diff(i))
+            expect = g.constant_term() != 0
+            assert _accepted(names, h) is expect, poly_str(h, names)
+            seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_gcd_basic():

@@ -14,7 +14,8 @@ class ParseError(LogresError):
 
 
 class InputError(LogresError):
-    """Invalid mathematical input (non-squarefree h, bad factorization, ...)."""
+    """Invalid mathematical input (h not reduced at the origin, bad
+    factorization, ...)."""
 
 
 class EngineError(LogresError):

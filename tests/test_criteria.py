@@ -426,9 +426,10 @@ def test_analyze_rejects_invalid_germ():
         analyze_text(["x"], "x^2")
 
 
-def test_analyze_takes_no_precision():
+@pytest.mark.parametrize("precision", [-3, 0, 3])
+def test_analyze_takes_no_precision(precision):
     with pytest.raises(TypeError, match="precision"):
-        analyze_text(["x", "y"], "x^2 - y^3", precision=3)
+        analyze_text(["x", "y"], "x^2 - y^3", precision=precision)
 
 
 @pytest.mark.parametrize("poly,germ", [("x*(y-1)^2", "x"),

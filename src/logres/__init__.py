@@ -26,6 +26,6 @@ from .criteria import (DivisorReport, analyze, analyze_text,
                        check_condition_C, check_condition_G,
                        check_condition_D, check_condition_B,
                        check_normal_crossing_at_origin,
-                       crosscheck_free_equivalences, classify_gorenstein_suspension)
+                       classify_gorenstein_suspension)
 
 __version__ = "0.1.0"

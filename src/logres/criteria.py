@@ -20,8 +20,8 @@ from .groebner import radical_test, local_dim, _row_echelon
 from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
 from .fractional import FractionalIdeal
 from .residues import (MeroFraction, residue_module, mu_residues,
-                       gorenstein_rule, gorenstein_singular_locus,
-                       direct_sum_check, IdempotentData)
+                       gorenstein_singular_locus, direct_sum_check,
+                       IdempotentData)
 from .normalization import (normalization_from_branches,
                             normalization_from_smooth_factors,
                             is_weakly_holomorphic, _curve_setup)
@@ -134,17 +134,12 @@ def _integrality_degree(D, p, q):
     return None
 
 
-def check_condition_G(D, nd, c_verdict=None):
-    """Jacobian ideal equals the conductor ideal.  Needs a conductor: from
-    normalization data, or derived as dual(R_D) when condition (C) is
-    certified true."""
-    J = jacobian_ideal(D)
-    if nd is not None:
-        cond = nd.conductor_gens
-    elif c_verdict == TRUE:
-        cond = residue_module(D).dual().as_ideal_gens()
-    else:
+def check_condition_G(D, cond):
+    """Jacobian ideal equals the conductor ideal, given the conductor's
+    generators as an ideal of O_D, or None when no conductor is known."""
+    if cond is None:
         return UNDECIDED, "no conductor available"
+    J = jacobian_ideal(D)
     if D.ideal_equal_mod_h(J, cond):
         return TRUE, "J_D = C_D as ideals mod h"
     for g in cond:
@@ -220,38 +215,14 @@ def check_condition_B(D):
     return FALSE, "Hessian of rank below 2 along a codimension-one part of Sing D"
 
 
-def crosscheck_free_equivalences(D, nd=None, seed=0):
-    """Evaluate (B), (D), (G) on a free divisor and assert that all decided
-    verdicts agree (they are equivalent for free divisors).  Disagreement
-    aborts with a counterexample dump."""
-    free, _ = is_free(D)
-    if not free:
-        raise InputError("crosscheck_free_equivalences requires a free divisor")
-    b, _ = check_condition_B(D)
-    d, _, _ = check_condition_D(D, seed=seed)
-    g, _ = check_condition_G(D, nd)
-    return _free_equivalences(D, b, d, g)
-
-
-def _free_equivalences(D, b, d, g):
-    """The verdicts of (B), (D), (G) on a free divisor, after asserting that
-    the decided ones agree."""
-    decided = [v for v in (b, d, g) if v != UNDECIDED]
-    if len(set(decided)) > 1:
-        raise ConsistencyError(
-            f"equivalent conditions disagree on {poly_str(D.h, D.names)}: "
-            f"B={b} D={d} G={g}")
-    return {"B": b, "D": d, "G": g}
-
-
-def classify_gorenstein_suspension(D, gorenstein=None):
+def classify_gorenstein_suspension(D):
     """For germs with Gorenstein singular locus of codimension one in D:
     decide whether D is a suspension of a quasihomogeneous plane curve, that
     is, whether h is a function of two linear forms, and return an Euler
     field of h in D's own coordinates as the witness.  A suspension that
     needs a nonlinear change of coordinates is not recognised.
     Returns (verdict, euler_witness_or_diagnostic)."""
-    gor = gorenstein if gorenstein is not None else gorenstein_singular_locus(D)
+    gor = gorenstein_singular_locus(D)
     if gor != "gorenstein":
         return "not_applicable", f"singular locus verdict: {gor}"
     if local_dim(D.jacobian_pullback, D.n) != D.n - 2:
@@ -268,9 +239,8 @@ def classify_gorenstein_suspension(D, gorenstein=None):
     # isolated plane-curve singularity it is quasihomogeneity (K. Saito)
     ef = euler_field(D)
     if ef is None:
-        return "not_applicable", (
-            "curve factor found but no Euler field; this should not "
-            "happen for a Gorenstein singular locus")
+        raise ConsistencyError("a Gorenstein singular locus of codimension "
+                               "one without an Euler field")
     return "suspension_of_quasihomogeneous_plane_curve", ef
 
 
@@ -308,7 +278,8 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     # normalization data: branches (curves/suspensions) and/or smooth factors
     nd = None
     nd_factors = None
-    if _curve_setup(D) is not None:
+    # supplied branches outside the curve class raise InputError here
+    if branches is not None or _curve_setup(D) is not None:
         nd = normalization_from_branches(D, branches=branches)
         if nd is None:
             witnesses["normalization"] = ("rational Newton-Puiseux expansion "
@@ -329,11 +300,16 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     mu, has_unit = mu_residues(D)
     extras["mu_residues"] = mu
     extras["contains_unit"] = has_unit
-    gor = gorenstein_rule(D.is_smooth, free, mu, has_unit)
 
     c_verdict, c_why = check_condition_C(D, nd)
     witnesses["condition_C"] = c_why
-    g_verdict, g_why = check_condition_G(D, nd, c_verdict=c_verdict)
+    # the conductor: the dual of O~, which is R_D when (C) holds
+    cond = None
+    if nd is not None:
+        cond = nd.weak_ring.conductor()
+    elif c_verdict == TRUE:
+        cond = R.conductor()
+    g_verdict, g_why = check_condition_G(D, cond)
     witnesses["condition_G"] = g_why
     d_verdict, d_why, rv = check_condition_D(D, seed=seed)
     witnesses["condition_D"] = d_why
@@ -366,13 +342,18 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
         extras["direct_sum"] = ds_verdict
 
     if free:
-        feq = _free_equivalences(D, b_verdict, d_verdict, g_verdict)
+        # (B), (D) and (G) are equivalent on a free divisor
+        feq = {"B": b_verdict, "D": d_verdict, "G": g_verdict}
+        decided = {v for v in feq.values() if v != UNDECIDED}
+        if len(decided) > 1:
+            raise ConsistencyError(
+                f"equivalent conditions disagree on {poly_str(D.h, D.names)}: "
+                f"B={b_verdict} D={d_verdict} G={g_verdict}")
         extras["free_equivalences"] = feq
-        if len({v for v in feq.values() if v != UNDECIDED}) == 1 \
-                and any(v != UNDECIDED for v in feq.values()):
+        if decided:
             consistency.append("free_equivalences_agree")
 
-    susp, susp_data = classify_gorenstein_suspension(D, gorenstein=gor)
+    susp, susp_data = classify_gorenstein_suspension(D)
     extras["suspension_classification"] = susp
     if susp == "suspension_of_quasihomogeneous_plane_curve":
         chi = susp_data.normalized()
@@ -410,7 +391,7 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     if b_verdict == TRUE and c_verdict == TRUE:
         consistency.append("normal_crossing_implies_weak_residues")
     if nd is not None:
-        _verify_chain(D, J, R, nd)
+        _verify_chain(D, J, R, nd.weak_ring, cond)
         consistency.append("fractional_ideal_chain")
     # nd_factors is set only when every factor is smooth; then the normalization
     # is the disjoint union of the components, the idempotent module is O~,
@@ -431,7 +412,7 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
         "jacobian_eq_conductor": g_verdict,
         "residues_weakly_holomorphic": c_verdict,
         "normal_crossing_at_origin": f_verdict,
-        "gorenstein_singular_locus": gor,
+        "gorenstein_singular_locus": gorenstein_singular_locus(D),
     }
     elapsed_ms = int((time.perf_counter() - t_start) * 1000)
     report = DivisorReport({
@@ -460,13 +441,13 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     return report
 
 
-def _verify_chain(D, J, R, nd):
+def _verify_chain(D, J, R, weak, cond):
     """J_D in dual(R_D) in C_D in O_D in O~ in R_D, every inclusion checked."""
     Rdual = R.dual()
-    C = FractionalIdeal(D, nd.conductor_gens, 1)
+    C = FractionalIdeal(D, cond, 1)
     O = FractionalIdeal.ring(D)
     chain = [("J_D", J), ("dual(R_D)", Rdual), ("C_D", C), ("O_D", O),
-             ("weak ring", nd.weak_ring), ("R_D", R)]
+             ("weak ring", weak), ("R_D", R)]
     for (name1, small), (name2, big) in zip(chain, chain[1:]):
         if not big.includes(small):
             raise ConsistencyError(f"chain inclusion {name1} in {name2} failed")

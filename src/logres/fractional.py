@@ -6,7 +6,8 @@ happens mod h in the localization at the origin.  Duality follows
 I^dual = {f : f*I inside O_D}, computed as den * (<c> : num) / c for a
 certified nonzerodivisor c inside the numerator ideal; the quotient is an
 ideal quotient mod h.  Equality is decided by cross-multiplied ideal
-comparison.
+comparison.  The conductor of a ring between O_D and its normalization is
+its dual, read back as an ideal of O_D.
 """
 
 from __future__ import annotations
@@ -232,18 +233,21 @@ class FractionalIdeal:
         self._dual = out
         return out
 
-    def as_ideal_gens(self):
-        """For a fractional ideal contained in O_D: polynomial generators of
-        the corresponding ideal of O_D (unit factors dropped)."""
+    def conductor(self):
+        """For a fractional ideal A containing O_D (the weakly holomorphic
+        ring, or R_D when it equals that ring): polynomial generators of the
+        conductor dual(A) = {f : f*A in O_D} as an ideal of O_D (unit factors
+        dropped), certified to be an ideal of A."""
         D = self.germ
-        basis, T = standard_basis([self.den, D.h], ModOrder(D.local_order),
+        dual = self.dual()
+        basis, T = standard_basis([dual.den, D.h], ModOrder(D.local_order),
                                   transform=True)
         basis = [v.polys[0] for v in basis]
         out = []
-        for p in self.num:
+        for p in dual.num:
             quots, _, rem = division_certificate(p, basis, ModOrder(D.local_order))
             if not rem.is_zero:
-                raise InputError("fractional ideal is not contained in O_D")
+                raise InputError("the fractional ideal does not contain O_D")
             # p = (sum_j quots_j (T_j0 den + T_j1 h)) / unit, so mod h the
             # fraction p/den is a unit multiple of sum_j quots_j T_j0
             rep = Poly.zero(D.n)
@@ -252,4 +256,8 @@ class FractionalIdeal:
                     rep = rep + q * trow[0]
             if not rep.is_zero:
                 out.append(rep)
-        return list(D.mod_h_basis(out)) if out else [D.h]
+        gens = list(D.mod_h_basis(out))
+        cond = FractionalIdeal(D, gens, 1)
+        if not cond.includes_product(cond, self):
+            raise EngineError("conductor is not an ideal of the ring")
+        return gens

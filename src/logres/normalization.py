@@ -9,8 +9,8 @@ functions as a fractional ideal
 
 for a nonzerodivisor q whose branchwise valuations dominate the conductor
 exponents (bounded by 2*delta = Milnor number + branches - 1).  The
-numerator is found by truncated-series linear algebra.  The conductor is
-the fractional-ideal dual of O~.
+numerator is found by truncated-series linear algebra.  The conductor,
+the dual of O~, is left to FractionalIdeal.conductor.
 
 A second normalization source covers divisors given by smooth pairwise
 coprime factors: there the weakly holomorphic ring is generated by the
@@ -339,38 +339,6 @@ def _rational_roots(poly_dict):
     return roots, len(cur) - 1
 
 
-def _rational_qth_root(w, q):
-    """Rational c with c^q = w, or None.  For even q a positive root is
-    returned (the sign ambiguity is the t -> -t reparametrization)."""
-    if q == 1:
-        return w
-    if w == 0:
-        return Fraction(0)
-    if q % 2 == 0 and w < 0:
-        return None
-
-    def iroot(k, e):
-        if k == 0:
-            return 0
-        lo, hi = 0, max(2, int(abs(k)) )
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** e < abs(k):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo ** e == abs(k) else None
-
-    np_ = iroot(abs(w.numerator), q)
-    dp = iroot(w.denominator, q)
-    if np_ is None or dp is None:
-        return None
-    c = Fraction(np_, dp)
-    if w < 0:
-        c = -c
-    return c
-
-
 def _newton_lift(g, prec):
     """The unique series phi with phi(0) = 0 and g(x, phi(x)) = 0 mod
     x^(prec+1), for g with dg/dy invertible at the origin."""
@@ -421,9 +389,11 @@ def _expand(h2, prec, depth, edge_filter=None):
         if undecided:
             raise Unsupported
         for w0, mult in roots:
-            c = _rational_qth_root(w0, q)
-            if c is None:
+            # c^q = w0; for even q, -c gives the same branch (t -> -t)
+            cs, _ = _rational_roots({0: -w0, q: ONE})
+            if not cs:
                 raise Unsupported
+            c = max(cs)[0]
             g = _substitute_edge(h2, q, m, c)
             if mult == 1 and g.terms.get((0, 1)):
                 out.append((q, _splice(c, m, _newton_lift(g, prec), prec)))
@@ -506,17 +476,15 @@ def puiseux_rational(D, precision=48):
 
 class NormalizationData:
     """Certified normalization of a curve germ / suspension / smooth-factored
-    divisor: the branches (possibly empty for the smooth-factor source), the
-    weakly holomorphic ring O~ as a fractional ideal, and the conductor."""
+    divisor: the branches (possibly empty for the smooth-factor source) and
+    the weakly holomorphic ring O~ as a fractional ideal."""
 
-    __slots__ = ("germ", "branches", "weak_ring", "conductor_gens", "source",
-                 "bounds")
+    __slots__ = ("germ", "branches", "weak_ring", "source", "bounds")
 
-    def __init__(self, germ, branches, weak_ring, conductor_gens, source, bounds):
+    def __init__(self, germ, branches, weak_ring, source, bounds):
         self.germ = germ
         self.branches = list(branches)
         self.weak_ring = weak_ring
-        self.conductor_gens = list(conductor_gens)
         self.source = source
         self.bounds = dict(bounds)
 
@@ -641,9 +609,8 @@ def normalization_from_branches(D, branches=None):
 
     weak = FractionalIdeal(D, num_gens, qden)
     _certify_weak_ring(D, weak)
-    cond = _conductor_from_weak(D, weak)
     return NormalizationData(
-        D, branches, weak, cond, "branches",
+        D, branches, weak, "branches",
         {"conductor_bound": cb, "milnor_curve": mu, "truncation": branches[0].trunc,
          "denominator": poly_str(qden, D.names)})
 
@@ -672,15 +639,6 @@ def _certify_weak_ring(D, weak):
                 raise EngineError("weakly holomorphic module is not a ring")
 
 
-def _conductor_from_weak(D, weak):
-    dual = weak.dual()
-    gens = dual.as_ideal_gens()
-    cfrac = FractionalIdeal(D, gens, 1)
-    if not cfrac.includes_product(cfrac, weak):
-        raise EngineError("conductor is not an ideal of the weak ring")
-    return gens
-
-
 def normalization_from_smooth_factors(D, idem):
     """O~ for a divisor presented by a validated factorization (an
     IdempotentData) into smooth factors through the origin: the direct sum
@@ -688,8 +646,7 @@ def normalization_from_smooth_factors(D, idem):
     if not idem.smooth:
         raise InputError("components are not all smooth at the origin")
     weak = idem.module()
-    cond = _conductor_from_weak(D, weak)
-    return NormalizationData(D, [], weak, cond, "smooth_factors", {})
+    return NormalizationData(D, [], weak, "smooth_factors", {})
 
 
 def is_weakly_holomorphic(frac, nd):
@@ -734,8 +691,8 @@ def branches_from_json(text, D):
         data = json.loads(text)
     except ValueError as e:
         raise InputError(f"branch file is not JSON: {e}") from None
-    if not isinstance(data, list):
-        raise InputError("branch file must contain a list")
+    if not isinstance(data, list) or not data:
+        raise InputError("branch file must contain a non-empty list")
     name_to_idx = {nm: i for i, nm in enumerate(D.names)}
     out = []
     for k, entry in enumerate(data):

@@ -21,7 +21,7 @@ from .poly import Poly, poly_str, exact_div
 from .groebner import (Vec, ModOrder, division_certificate,
                        min_generators_local, reduce_poly)
 from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
-                    form_is_logarithmic)
+                    form_is_logarithmic, once_per_germ)
 from .fractional import (FractionalIdeal, is_nzd, require_nzd,
                          nzd_combinations)
 
@@ -159,6 +159,7 @@ def sigma_check(delta, omega, D):
     return D.in_h(cert.g * pair - dh * cert.xi)
 
 
+@once_per_germ
 def mu_residues(D):
     """Minimal local generator count of R_D as an O_D-module and whether 1
     can be part of a minimal generating set (1 not in m*R_D)."""
@@ -172,22 +173,16 @@ def mu_residues(D):
     return mu, contains_unit
 
 
-def gorenstein_rule(smooth, free, mu, contains_unit):
-    """empty / gorenstein / not_gorenstein / undecided from the facts of one
-    analysis.  The rule needs freeness: the singular locus of a free divisor
-    is Gorenstein iff R_D is generated by 1 and one more element."""
-    if smooth:
-        return "empty"
-    if not free:
-        return "undecided"
-    return "gorenstein" if (mu == 2 and contains_unit) else "not_gorenstein"
-
-
 def gorenstein_singular_locus(D):
-    """The Gorenstein verdict of gorenstein_rule, computing its facts."""
-    free, _ = is_free(D)
-    mu, has_unit = mu_residues(D) if free else (None, None)
-    return gorenstein_rule(D.is_smooth, free, mu, has_unit)
+    """empty / gorenstein / not_gorenstein / undecided.  The rule needs
+    freeness: the singular locus of a free divisor is Gorenstein iff R_D is
+    generated by 1 and one more element."""
+    if D.is_smooth:
+        return "empty"
+    if not is_free(D)[0]:
+        return "undecided"
+    mu, contains_unit = mu_residues(D)
+    return "gorenstein" if (mu == 2 and contains_unit) else "not_gorenstein"
 
 
 def validate_factorization(D, factors):

@@ -24,8 +24,7 @@ from logres.residues import (MeroFraction, residue, residue_certificates,
                              IdempotentData)
 from logres.normalization import (normalization_from_branches,
                                   is_weakly_holomorphic)
-from logres.criteria import analyze_text, crosscheck_free_equivalences, \
-    check_condition_C
+from logres.criteria import analyze, analyze_text, check_condition_C
 from logres.corpus import CORPUS
 
 
@@ -167,7 +166,7 @@ def test_criterion_5_freeness_verdicts():
 
 def test_criterion_6_cusp_pipeline_against_series_oracle():
     """Cusp pipeline, all exact: J = <x, y^2>, C = <x, y>, R = <1, y/x>,
-    mu = (2, true), Gorenstein, crosscheck (false, false, false), Euler field
+    mu = (2, true), Gorenstein, (B, D, G) all false, Euler field
     (1/6)(3x d/dx + 2y d/dy); oracle: truncated series on x=t^3, y=t^2."""
     D = DivisorGerm(["x", "y"], "x^2 - y^3")
     x, y, one = D.poly("x"), D.poly("y"), D.poly("1")
@@ -179,7 +178,7 @@ def test_criterion_6_cusp_pipeline_against_series_oracle():
     assert _series_val(x, sub) == 3 and _series_val(y * y, sub) == 4
 
     nd = normalization_from_branches(D)
-    assert D.ideal_equal_mod_h(nd.conductor_gens, [x, y])
+    assert D.ideal_equal_mod_h(nd.weak_ring.conductor(), [x, y])
     # oracle: conductor exponent 2 (the semigroup of O_D is {0, 2, 3, ...})
     assert _series_val(y, sub) == 2
 
@@ -190,8 +189,8 @@ def test_criterion_6_cusp_pipeline_against_series_oracle():
 
     assert mu_residues(D) == (2, True)
     assert gorenstein_singular_locus(D) == "gorenstein"
-    rec = crosscheck_free_equivalences(D, nd=nd)
-    assert rec == {"B": "false", "D": "false", "G": "false"}
+    assert analyze(D).data["extras"]["free_equivalences"] == {
+        "B": "false", "D": "false", "G": "false"}
     chi = euler_field(D).normalized()
     assert chi.coeffs[0] == D.poly("1/2*x")   # (1/6) * 3x
     assert chi.coeffs[1] == D.poly("1/3*y")   # (1/6) * 2y
@@ -225,7 +224,7 @@ def test_criterion_7_equivalence_suites():
                 weak, cond_frac = R, R.dual()
         else:
             weak = nd.weak_ring
-            cond_frac = FractionalIdeal(D, nd.conductor_gens, 1)
+            cond_frac = FractionalIdeal(D, nd.weak_ring.conductor(), 1)
 
         if weak is not None:
             chain = [("J", J), ("dual(R)", R.dual()), ("C", cond_frac),

@@ -103,6 +103,17 @@ def test_analyze_branches_file_not_on_curve_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_branches_file_outside_curve_class_exit_2(tmp_path, capsys):
+    # a well-formed branch file for a germ with no branch normalization
+    path = tmp_path / "branches.json"
+    path.write_text(json.dumps(
+        [{"param": {"x": [[1, "1"]], "y": [[1, "-1"]]}, "truncation": 64}]))
+    code = main(["analyze", "--vars", "x,y,z", "--poly", "x*y*z*(x+y+z)",
+                 "--branches", str(path)])
+    assert code == 2
+    assert "outside the supported class" in capsys.readouterr().err
+
+
 def test_analyze_witness_power_above_200_exit_0(capsys):
     code = main(["analyze", "--vars", "x,y", "--poly", "y^2+x^202",
                  "--format", "json"])
@@ -122,6 +133,7 @@ def _cusp_branch(**changes):
     pytest.param(b"\xff[", "utf-8", id="not-utf-8"),
     pytest.param("{not json", "not JSON", id="not-json"),
     pytest.param("[1]", "branch entry 0", id="entry-not-object"),
+    pytest.param("[]", "non-empty list", id="empty-list"),
     pytest.param(_cusp_branch(param={"x": [[3, "abc"]], "y": [[2, "1"]]}),
                  "[3, 'abc'] is not", id="coefficient"),
     pytest.param(_cusp_branch(truncation="many"), "'many'",

@@ -20,7 +20,7 @@ from logres.criteria import (analyze, analyze_text, check_condition_C,
                              check_condition_G, check_condition_D,
                              check_condition_B,
                              check_normal_crossing_at_origin,
-                             crosscheck_free_equivalences, classify_gorenstein_suspension,
+                             classify_gorenstein_suspension,
                              DivisorReport, _tri)
 
 
@@ -47,20 +47,17 @@ def test_condition_C_integrality_route_whitney():
 
 
 def test_condition_G_examples():
-    D = DivisorGerm(["x", "y"], "x*y")
-    nd = normalization_from_branches(D)
-    assert check_condition_G(D, nd)[0] == "true"
-    C = DivisorGerm(["x", "y"], "x^2 - y^3")
-    ndc = normalization_from_branches(C)
-    assert check_condition_G(C, ndc)[0] == "false"
-    S = DivisorGerm(["x", "y"], "x")
-    nds = normalization_from_branches(S)
-    assert check_condition_G(S, nds)[0] == "true"
-    # without normalization data but with (C) certified true, the conductor
-    # is derived from the residue module
+    for text, verdict in (("x*y", "true"), ("x^2 - y^3", "false"),
+                          ("x", "true")):
+        D = DivisorGerm(["x", "y"], text)
+        cond = normalization_from_branches(D).weak_ring.conductor()
+        assert check_condition_G(D, cond)[0] == verdict, text
+    # without normalization data but with (C) certified true, R_D is O~
+    # and the conductor is its dual
     W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
-    assert check_condition_G(W, None, c_verdict="true")[0] == "false"
-    assert check_condition_G(W, None, c_verdict="undecided")[0] == "undecided"
+    cond = residues.residue_module(W).conductor()
+    assert check_condition_G(W, cond)[0] == "false"
+    assert check_condition_G(W, None)[0] == "undecided"
 
 
 def test_condition_D_examples():
@@ -118,22 +115,14 @@ def test_condition_B():
         assert check_condition_B(DivisorGerm(list(vars_), poly))[0] == verdict, poly
 
 
-def test_crosscheck_free_equivalences():
-    D = DivisorGerm(["x", "y"], "x*y")
-    nd = normalization_from_branches(D)
-    rec = crosscheck_free_equivalences(D, nd=nd)
-    assert rec == {"B": "true", "D": "true", "G": "true"}
-    C = DivisorGerm(["x", "y"], "x^2 - y^3")
-    ndc = normalization_from_branches(C)
-    rec2 = crosscheck_free_equivalences(C, nd=ndc)
-    assert rec2 == {"B": "false", "D": "false", "G": "false"}
-    T = DivisorGerm(["x", "y"], "x*y*(x+y)")
-    ndt = normalization_from_branches(T)
-    rec3 = crosscheck_free_equivalences(T, nd=ndt)
-    assert rec3 == {"B": "false", "D": "false", "G": "false"}
-    W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
-    with pytest.raises(InputError):
-        crosscheck_free_equivalences(W)
+def test_analyze_free_equivalences():
+    for text, verdict in (("x*y", "true"), ("x^2 - y^3", "false"),
+                          ("x*y*(x+y)", "false")):
+        extras = analyze_text(["x", "y"], text).data["extras"]
+        assert extras["free_equivalences"] == dict.fromkeys("BDG", verdict)
+    # not free: (B), (D) and (G) need not agree, and none is reported
+    extras = analyze_text(["x", "y", "z"], "x^2 - y^2*z").data["extras"]
+    assert "free_equivalences" not in extras
 
 
 # The two routes that decided (B) before the Jacobian criterion, kept as
@@ -294,6 +283,15 @@ def test_classify_gorenstein_suspension():
         assert witness.check(L), text
 
 
+def test_gorenstein_suspension_without_euler_field_is_inconsistent(
+        monkeypatch):
+    # a Gorenstein verdict means 1 minimally generates R_D, which on a free
+    # germ means an Euler field exists
+    monkeypatch.setattr(criteria, "euler_field", lambda D: None)
+    with pytest.raises(ConsistencyError, match="Euler field"):
+        classify_gorenstein_suspension(DivisorGerm(["x", "y"], "x^2 - y^3"))
+
+
 def test_analyze_xyz_all_true():
     r = analyze_text(["x", "y", "z"], "x*y*z", "x;y;z")
     v = r.verdicts
@@ -452,9 +450,10 @@ def test_analyze_rejects_empty_factor_list():
 # the work each fact costs, wrapped where it is done: log_derivations
 # inside is_free, the division by the partials inside euler_field, the
 # factorization check, the idempotents, the comparison of fractional ideals,
-# and condition (B), which also decides (F) on a curve germ without factors
+# condition (B), which also decides (F) on a curve germ without factors, and
+# the conductor
 WORK = ("log_derivations", "euler_division", "validate_factorization",
-        "IdempotentData", "equals", "condition_B")
+        "IdempotentData", "equals", "condition_B", "conductor")
 
 
 def _count_work(monkeypatch):
@@ -472,6 +471,7 @@ def _count_work(monkeypatch):
             (residues, "validate_factorization", "validate_factorization"),
             (residues.IdempotentData, "__init__", "IdempotentData"),
             (FractionalIdeal, "equals", "equals"),
+            (FractionalIdeal, "conductor", "conductor"),
             (criteria, "check_condition_B", "condition_B")):
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
     # as in a fresh process: the first R_D of the germ is computed and
@@ -489,6 +489,9 @@ def _count_work(monkeypatch):
     ("xyz", "x*y*(x+y)*(x+y*z)", "x;y;x+y;x+y*z",
      {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
       "condition_B": 1}),
+    # a curve germ with smooth factors has two normalizations and one
+    # conductor
+    ("xy", "x*y*(x+y)", "x;y;x+y", {"conductor": 1}),
 ])
 def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
                                          expected):
@@ -502,6 +505,8 @@ def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
     ("xyz", "x*y*z", "x;y;z", r"\(F\) true with \(B\) false"),
     # not free, and (C) true by integral equations
     ("xyz", "x^2 - y^2*z", None, "main theorem"),
+    # free, with (D) and (G) true: (B), (D) and (G) are equivalent there
+    ("xyz", "x*y*z", None, "equivalent conditions"),
 ])
 def test_analyze_rejects_condition_B_false_against_F_or_C(monkeypatch, vars_,
                                                           poly, factors, match):
@@ -512,7 +517,8 @@ def test_analyze_rejects_condition_B_false_against_F_or_C(monkeypatch, vars_,
 
 
 def test_analyze_computes_freeness_and_mu_once(monkeypatch):
-    # each binding a caller looks up is wrapped, so every call is counted
+    # the work of each once_per_germ fact is wrapped where the fact reads it,
+    # so every computation is counted however many callers ask
     calls = {"is_free": 0, "mu_residues": 0}
 
     def counted(name, fn):
@@ -521,15 +527,15 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    for mod in (criteria, residues):
-        for name in calls:
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for mod, name in ((germs, "is_free"), (residues, "mu_residues")):
+        fact = getattr(mod, name)
+        monkeypatch.setattr(fact, "__wrapped__",
+                            counted(name, fact.__wrapped__))
     monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
     first = analyze_text(["x", "y"], "x^2 - y^3")
-    # analyze, then the certification of the first R_D
-    assert calls["is_free"] <= 2
-    assert calls["mu_residues"] == 1
+    assert calls == {"is_free": 1, "mu_residues": 1}
     calls.update(is_free=0, mu_residues=0)
+    # a new germ object with the same h computes its own facts
     second = analyze_text(["x", "y"], "x^2 - y^3")
     assert calls == {"is_free": 1, "mu_residues": 1}
     assert first == second

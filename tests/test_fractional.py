@@ -6,7 +6,7 @@ import pytest
 
 from logres import fractional, germs, groebner, poly
 from logres.corpus import CORPUS
-from logres.errors import InputError
+from logres.errors import InputError, EngineError
 from logres.germs import DivisorGerm, jacobian_ideal
 from logres.poly import Poly, poly_gcd, exact_div
 from logres.fractional import (FractionalIdeal, is_nzd, nzd_witness,
@@ -292,15 +292,18 @@ def test_nzd_schedule_decides_beyond_the_trial_budget():
     assert coeffs == [1, 3] and is_nzd(E, q)
 
 
-def test_as_ideal_gens():
+def test_conductor():
     C = cusp()
-    # <x^2, x*y> / x = <x, y> as an ideal of O_D
-    I = FractionalIdeal(C, [C.poly("x^2"), C.poly("x*y")], C.poly("x"))
-    gens = I.as_ideal_gens()
-    assert C.ideal_equal_mod_h(gens, [C.poly("x"), C.poly("y")])
-    R = FractionalIdeal(C, jacobian_ideal(C), 1).dual()
+    x, y, one = C.poly("x"), C.poly("y"), C.poly("1")
+    # O~ = <1, x/y> has the conductor <x, y> as an ideal of O_D
+    weak = FractionalIdeal.make([(one, one), (x, y)], C)
+    assert C.ideal_equal_mod_h(weak.conductor(), [x, y])
+    J = FractionalIdeal(C, jacobian_ideal(C), 1)
     with pytest.raises(InputError):
-        R.as_ideal_gens()  # R contains y/x, not in O_D
+        J.conductor()  # J misses 1, and its dual R_D holds y/x, not in O_D
+    with pytest.raises(EngineError):
+        # R_D = <1, y/x> is no ring: x*(y/x) = y misses its dual <x, y^2>
+        J.dual().conductor()
 
 
 def test_germ_mismatch():
@@ -344,7 +347,7 @@ def test_includes_product_agrees_with_product_ideal_on_corpus():
         nd = _corpus_weak_ring(D, entry)
         if nd is not None:
             with_weak.append(entry["name"])
-            C = FractionalIdeal(D, nd.conductor_gens, 1)
+            C = FractionalIdeal(D, nd.weak_ring.conductor(), 1)
             weak = nd.weak_ring
             assert C.includes_product(C, weak) is C.includes(C.product(weak)) is True
     assert "node" in with_weak and "four-planes-family" in with_weak

@@ -44,9 +44,6 @@ ALLOWED = {
 PUBLIC_ALLOWED = {
     ("residues", "sigma_check"):
         "the paper's dual residue pairing, an oracle the tests assert",
-    ("criteria", "crosscheck_free_equivalences"):
-        "oracle of the proven equivalences for free divisors, used by the "
-        "acceptance tests",
     ("residues", "MeroFraction.restrict"):
         "restriction of a residue to a component, used by the acceptance "
         "tests",

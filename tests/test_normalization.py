@@ -88,7 +88,7 @@ def test_validate_branches_cusp():
     nd = normalization_from_branches(D)
     x, y, one = D.poly("x"), D.poly("y"), D.poly("1")
     assert nd.weak_ring.equals(FractionalIdeal.make([(one, one), (x, y)], D))
-    assert D.ideal_equal_mod_h(nd.conductor_gens, [x, y])
+    assert D.ideal_equal_mod_h(nd.weak_ring.conductor(), [x, y])
     # valuation semigroup oracle on x = t^3, y = t^2: val(x/y) = 1 >= 0
     sub = {0: {3: Fraction(1)}, 1: {2: Fraction(1)}}
     assert series_valuation_oracle(x, sub) == 3
@@ -101,7 +101,7 @@ def test_validate_branches_node():
     x, y, one = D.poly("x"), D.poly("y"), D.poly("1")
     assert nd.weak_ring.equals(
         FractionalIdeal.make([(one, one), (y, x + y)], D))
-    assert D.ideal_equal_mod_h(nd.conductor_gens, [x, y])
+    assert D.ideal_equal_mod_h(nd.weak_ring.conductor(), [x, y])
     # here R_D = O~ (normal crossing)
     assert residue_module(D).equals(nd.weak_ring)
 
@@ -110,7 +110,7 @@ def test_validate_branches_smooth():
     D = DivisorGerm(["x", "y"], "x")
     nd = normalization_from_branches(D)
     assert nd.weak_ring.equals(FractionalIdeal.ring(D))
-    assert D.member_mod_h(D.poly("1"), nd.conductor_gens)
+    assert D.member_mod_h(D.poly("1"), nd.weak_ring.conductor())
 
 
 def test_weak_holomorphy_cusp():
@@ -154,7 +154,7 @@ def test_suspension_extends_curve_data():
     x, y = D3.poly("x"), D3.poly("y")
     one = D3.poly("1")
     assert nd.weak_ring.equals(FractionalIdeal.make([(one, one), (x, y)], D3))
-    assert D3.ideal_equal_mod_h(nd.conductor_gens, [x, y])
+    assert D3.ideal_equal_mod_h(nd.weak_ring.conductor(), [x, y])
     # a fraction involving the passive variable
     assert is_weakly_holomorphic(MeroFraction(D3, D3.poly("z*x"), y), nd)
 
@@ -165,7 +165,8 @@ def test_smooth_factor_route_matches_branch_route():
     nd_f = normalization_from_smooth_factors(
         D, IdempotentData(D, [D.poly("x"), D.poly("y")]))
     assert nd_b.weak_ring.equals(nd_f.weak_ring)
-    assert D.ideal_equal_mod_h(nd_b.conductor_gens, nd_f.conductor_gens)
+    assert D.ideal_equal_mod_h(nd_b.weak_ring.conductor(),
+                              nd_f.weak_ring.conductor())
 
 
 def test_smooth_factor_route_rejects_singular_factor():
@@ -205,7 +206,7 @@ def test_weak_ring_reflexive_on_free_curves():
     for text in ("x*y", "x^2 - y^3", "x*y*(x+y)"):
         D = DivisorGerm(["x", "y"], text)
         nd = normalization_from_branches(D)
-        C = FractionalIdeal(D, nd.conductor_gens, 1)
+        C = FractionalIdeal(D, nd.weak_ring.conductor(), 1)
         assert C.dual().equals(nd.weak_ring), text
 
 
@@ -237,7 +238,7 @@ def test_chain_inclusions_on_curves():
         from logres.germs import jacobian_ideal
         J = FractionalIdeal(D, jacobian_ideal(D), 1)
         R = residue_module(D)
-        C = FractionalIdeal(D, nd.conductor_gens, 1)
+        C = FractionalIdeal(D, nd.weak_ring.conductor(), 1)
         O = FractionalIdeal.ring(D)
         chain = [J, R.dual(), C, O, nd.weak_ring, R]
         for small, big in zip(chain, chain[1:]):

@@ -335,12 +335,6 @@ class LogOneForm:
     def is_logarithmic(self, D):
         return form_is_logarithmic(self.a, D)
 
-    def str_of(self, D):
-        num = " + ".join(f"({poly_str(c, D.names)})*d{D.names[i]}"
-                         for i, c in enumerate(self.a) if not c.is_zero)
-        den = poly_str(self.extra * D.h, D.names)
-        return f"({num}) / ({den})"
-
 
 def form_is_logarithmic(a, D):
     """Pairwise criterion: dh_i * a_j - dh_j * a_i in <h> locally for i < j,

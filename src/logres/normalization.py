@@ -1,9 +1,10 @@
 """Normalization data for plane-curve germs and their suspensions.
 
 Branches are truncated power-series parametrizations t -> (x(t), y(t)) of
-the curve factor; passive variables are carried along unchanged.  From a
-certified branch system the module builds the ring of weakly holomorphic
-functions as a fractional ideal
+the curve factor, with rational coefficients.  A suspension's passive
+variables have no series, so only polynomials in the curve variables pull
+back to a branch.  From a certified branch system the module builds the
+ring of weakly holomorphic functions as a fractional ideal
 
     O~ = { p : val_i(p) >= val_i(q) on every branch } / q
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import InputError, EngineError
-from .poly import Poly, poly_str, ZERO, ONE
+from .poly import Poly, ZERO, ONE
 from .groebner import local_colength, kernel_basis
 from .fractional import FractionalIdeal, nzd_combinations
 
@@ -45,9 +46,8 @@ class Unsupported(Exception):
 
 
 class Jet:
-    """Truncated power series in t, exact below `trunc`.  The coefficients
-    are Fractions, or Polys when passive suspension variables ride along;
-    zero coefficients are not stored."""
+    """Truncated power series in t with Fraction coefficients, exact below
+    `trunc`; zero coefficients are not stored."""
 
     __slots__ = ("coeffs", "trunc")
 
@@ -63,9 +63,6 @@ class Jet:
         """Least exponent with nonzero coefficient; None when the whole stored
         jet vanishes (true valuation >= trunc)."""
         return min(self.coeffs) if self.coeffs else None
-
-    def lead_coeff(self):
-        return self.coeffs[min(self.coeffs)]
 
     def mul(self, other, cap):
         """The product, exact below `cap` and as far as both factors allow."""
@@ -86,9 +83,8 @@ class Jet:
 
 
 def substitute(p, jets, trunc, cache=None):
-    """Jet of p with variable i replaced by jets[i], a jet with Fraction
-    coefficients, exact below `trunc`.  Variables without a jet are passive
-    and ride along in Poly coefficients.  Each power jets[i]^k is built once,
+    """Jet of p with variable i replaced by jets[i], exact below `trunc`;
+    every variable p uses must have a jet.  Each power jets[i]^k is built once,
     from the power below it, and kept in `cache` under (i, k, trunc): share a
     cache only between calls with the same jets."""
     if cache is None:
@@ -105,8 +101,6 @@ def substitute(p, jets, trunc, cache=None):
             cache[key] = pw
         return pw
 
-    n = p.n
-    passive = len(jets) < n
     out = {}
     for e, c in p.terms.items():
         # c * t^shift * term, with single-term powers folded into c and shift
@@ -123,23 +117,9 @@ def substitute(p, jets, trunc, cache=None):
         if shift >= trunc or (term is not None and not term.coeffs):
             continue
         items = ((0, ONE),) if term is None else term.coeffs.items()
-        if passive:
-            pe = tuple(0 if i in jets else k for i, k in enumerate(e))
-            for s, v in items:
-                acc = out.setdefault(s + shift, {})
-                acc[pe] = acc.get(pe, ZERO) + c * v
-        else:
-            for s, v in items:
-                out[s + shift] = out.get(s + shift, ZERO) + c * v
-    if passive:
-        out = {s: Poly._raw(n, {pe: v for pe, v in acc.items() if v})
-               for s, acc in out.items()}
+        for s, v in items:
+            out[s + shift] = out.get(s + shift, ZERO) + c * v
     return Jet(out, trunc)
-
-
-def _constant(c):
-    """Value of a jet coefficient where the passive variables vanish."""
-    return c.constant_term() if isinstance(c, Poly) else c
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +175,16 @@ class BranchParam:
         a, b = self.canonical(), other.canonical()
         return a.series == b.series
 
-    def str_of(self, D):
-        parts = []
-        for i in sorted(self.series):
-            terms = " + ".join(f"{c}*t^{e}" if e != 1 else f"{c}*t"
-                               for e, c in sorted(self.series[i].items()))
-            parts.append(f"{D.names[i]} = {terms or '0'}")
-        return "; ".join(parts)
 
-
-def pullback(p, branch, D, cache=None, trunc=None):
-    """Jet of p along the branch; passive variables stay as polynomial
-    coefficients.  `trunc` caps the jet precision (never above the branch
-    truncation); a shared `cache` avoids recomputing series powers."""
+def pullback(p, branch, cache=None, trunc=None):
+    """Jet of p along the branch.  `trunc` caps the jet precision (never
+    above the branch truncation); a shared `cache` avoids recomputing series
+    powers.  A variable of p without a series on the branch is an
+    InputError."""
+    for i in range(p.n):
+        if i not in branch.series and any(e[i] for e in p.terms):
+            raise InputError(f"the branch has no series for variable "
+                             f"{i + 1}, which the polynomial uses")
     trunc = branch.trunc if trunc is None else min(trunc, branch.trunc)
     jets = {i: Jet(s, branch.trunc) for i, s in branch.series.items()}
     return substitute(p, jets, trunc, cache)
@@ -476,35 +453,27 @@ def puiseux_rational(D, precision=48):
 
 class NormalizationData:
     """Certified normalization of a curve germ / suspension / smooth-factored
-    divisor: the branches (possibly empty for the smooth-factor source) and
-    the weakly holomorphic ring O~ as a fractional ideal."""
+    divisor: the branches and their truncation (empty and None for the
+    smooth-factor source) and the weakly holomorphic ring O~ as a fractional
+    ideal."""
 
-    __slots__ = ("germ", "branches", "weak_ring", "source", "bounds")
+    __slots__ = ("branches", "weak_ring", "source", "truncation")
 
-    def __init__(self, germ, branches, weak_ring, source, bounds):
-        self.germ = germ
+    def __init__(self, branches, weak_ring, source, truncation=None):
         self.branches = list(branches)
         self.weak_ring = weak_ring
         self.source = source
-        self.bounds = dict(bounds)
+        self.truncation = truncation
 
 
 def _certify_branch(D, branch):
-    sub = pullback(D.h, branch, D)
+    sub = pullback(D.h, branch)
     if not sub.is_zero_jet:
         raise InputError(
             f"branch substitution does not annihilate h "
             f"(first surviving order t^{sub.valuation()})")
     if not branch.is_primitive():
         raise InputError("branch parametrization is not primitive")
-
-
-def _branch_valuation(jet, what):
-    v = jet.valuation()
-    if v is None:
-        raise InputError(
-            f"truncation insufficient to certify the valuation of {what}")
-    return v
 
 
 def conductor_bound(D):
@@ -519,7 +488,7 @@ def conductor_bound(D):
     if mu is None:
         raise EngineError("curve factor has non-isolated singularity")
     mult = min(sum(e) for e in h2.terms)
-    return mu + mult - 1, mu
+    return mu + mult - 1
 
 
 def normalization_from_branches(D, branches=None):
@@ -528,13 +497,14 @@ def normalization_from_branches(D, branches=None):
     run the same certification.  The internal expansion is taken at
     truncation 2*cb + 16 for the conductor bound cb, and again at the
     certification bound when that is higher.  Without supplied branches, a
-    germ whose rational expansion is unsupported gets None."""
+    germ whose rational expansion is unsupported gets None; a supplied list
+    must not be empty."""
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("germ outside the supported class "
                          "(plane curve or suspension of one)")
     cvars, h2 = setup
-    cb, mu = conductor_bound(D)
+    cb = conductor_bound(D)
 
     def required_precision(vals):
         B = -(-cb // min(vals))
@@ -552,6 +522,8 @@ def normalization_from_branches(D, branches=None):
             branches = puiseux_rational(D, precision=need)
             ell_full, ell_vals = _denominator_form(D, cvars, branches)
     else:
+        if not branches:
+            raise InputError("supplied branches must be a non-empty list")
         ell_full, ell_vals = _denominator_form(D, cvars, branches)
         need = required_precision(ell_vals)
         short = [b for b in branches if b.trunc < need]
@@ -591,9 +563,9 @@ def normalization_from_branches(D, branches=None):
     rows = []
     for b, v in zip(branches, vq):
         cache = {}
-        jets = [pullback(mn, b, D, cache=cache, trunc=v) for mn in monos]
+        jets = [pullback(mn, b, cache=cache, trunc=v) for mn in monos]
         for t_exp in range(v):
-            rows.append([_constant(j.coeffs.get(t_exp, ZERO)) for j in jets])
+            rows.append([j.coeffs.get(t_exp, ZERO) for j in jets])
     num_gens = []
     for veck in kernel_basis(rows, len(monos)):
         p = Poly.zero(D.n)
@@ -609,10 +581,7 @@ def normalization_from_branches(D, branches=None):
 
     weak = FractionalIdeal(D, num_gens, qden)
     _certify_weak_ring(D, weak)
-    return NormalizationData(
-        D, branches, weak, "branches",
-        {"conductor_bound": cb, "milnor_curve": mu, "truncation": branches[0].trunc,
-         "denominator": poly_str(qden, D.names)})
+    return NormalizationData(branches, weak, "branches", branches[0].trunc)
 
 
 def _denominator_form(D, cvars, branches):
@@ -621,11 +590,9 @@ def _denominator_form(D, cvars, branches):
     readable at the branches' truncation."""
     gens = [Poly.variable(D.n, i) for i in cvars]
     for _, ell in nzd_combinations(D, gens):
-        try:
-            return ell, [_branch_valuation(pullback(ell, b, D), "a linear form")
-                         for b in branches]
-        except InputError:
-            continue
+        vals = [pullback(ell, b).valuation() for b in branches]
+        if None not in vals:
+            return ell, vals
     raise InputError("no nonzerodivisor linear form found on the branches")
 
 
@@ -639,35 +606,30 @@ def _certify_weak_ring(D, weak):
                 raise EngineError("weakly holomorphic module is not a ring")
 
 
-def normalization_from_smooth_factors(D, idem):
+def normalization_from_smooth_factors(idem):
     """O~ for a divisor presented by a validated factorization (an
     IdempotentData) into smooth factors through the origin: the direct sum
     of the component rings, generated by the idempotents."""
     if not idem.smooth:
         raise InputError("components are not all smooth at the origin")
     weak = idem.module()
-    return NormalizationData(D, [], weak, "smooth_factors", {})
+    return NormalizationData([], weak, "smooth_factors")
 
 
 def is_weakly_holomorphic(frac, nd):
-    """Branchwise valuation test: on every branch the numerator pullback must
-    vanish at least to the order of the denominator pullback (whose leading
-    coefficient must be a unit when passive variables are present)."""
-    D = nd.germ
+    """Whether frac lies in O~.  With branches, the valuation test: on every
+    branch the numerator pullback must vanish at least to the order of the
+    denominator pullback.  With smooth factors, membership in the
+    idempotent module."""
     if nd.source != "branches":
         return nd.weak_ring.contains_fraction(frac.num, frac.den)
     for b in nd.branches:
-        jd = pullback(frac.den, b, D)
-        vd = jd.valuation()
+        vd = pullback(frac.den, b).valuation()
         if vd is None:
             raise InputError(
                 "truncation insufficient to decide: denominator pullback "
                 "vanishes to the stored order")
-        if not _constant(jd.lead_coeff()):
-            raise EngineError(
-                "denominator pullback degenerates along the passive directions")
-        jn = pullback(frac.num, b, D)
-        vn = jn.valuation()
+        vn = pullback(frac.num, b).valuation()
         if vn is not None and vn < vd:
             return False
     return True
@@ -691,8 +653,8 @@ def branches_from_json(text, D):
         data = json.loads(text)
     except ValueError as e:
         raise InputError(f"branch file is not JSON: {e}") from None
-    if not isinstance(data, list) or not data:
-        raise InputError("branch file must contain a non-empty list")
+    if not isinstance(data, list):
+        raise InputError("branch file must contain a list")
     name_to_idx = {nm: i for i, nm in enumerate(D.names)}
     out = []
     for k, entry in enumerate(data):

@@ -146,6 +146,8 @@ def _cusp_branch(**changes):
                  "'x': 3 is not", id="table-not-list"),
     pytest.param(_cusp_branch(param={"x": [[3, "1", 4]], "y": [[2, "1"]]}),
                  "[3, '1', 4] is not", id="not-a-pair"),
+    pytest.param(_cusp_branch(param={"x": [[3, "1"]]}),
+                 "no series for variable 2", id="missing-variable"),
 ])
 def test_analyze_malformed_branches_file_exit_2(tmp_path, capsys, text,
                                                 message):

@@ -447,6 +447,12 @@ def test_analyze_rejects_empty_factor_list():
         analyze(D, factors=[])
 
 
+def test_analyze_rejects_empty_branch_list():
+    D = DivisorGerm(["x", "y"], "x^2 - y^3")
+    with pytest.raises(InputError, match="non-empty list"):
+        analyze(D, branches=[])
+
+
 # the work each fact costs, wrapped where it is done: log_derivations
 # inside is_free, the division by the partials inside euler_field, the
 # factorization check, the idempotents, the comparison of fractional ideals,
@@ -484,10 +490,10 @@ def _count_work(monkeypatch):
     ("xy", "x^2 - y^3", None,
      {"log_derivations": 1, "euler_division": 1, "condition_B": 1}),
     ("xyz", "x*y*z", "x;y;z",
-     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 2,
       "condition_B": 1}),
     ("xyz", "x*y*(x+y)*(x+y*z)", "x;y;x+y;x+y*z",
-     {"validate_factorization": 1, "IdempotentData": 1, "equals": 3,
+     {"validate_factorization": 1, "IdempotentData": 1, "equals": 2,
       "condition_B": 1}),
     # a curve germ with smooth factors has two normalizations and one
     # conductor
@@ -556,6 +562,8 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # (always null) left every report, and x*y*(x-y)*(x+y) took its branch
 # denominator from the nonzerodivisor schedule instead of a list of lines,
 # which changed only the conductor element in witnesses.condition_G.
+# x*y*z, analysed with its factors, pins the smooth-factor wording of (C);
+# it was taken from the code before (C) became one inclusion.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "ac6c3b42537326ace4c62a49d8de5eac8531c0f64f5946411deef005ce7b5329"),
@@ -571,9 +579,11 @@ GOLDEN_REPORTS = [
      "e838372e8d1dc37c6aa6c75751c4a1e9cd62af00f133d518f0ca222e4c14464c"),
     ("x*y*(x+y)*(x+y*z)",
      "8ffe297e865829444b3b01e5d52dd8b80c5b12c5ce70e41a3f5750324dcaab6b"),
+    ("x*y*z",
+     "0078937dee44a2c21f84dbb4077d5a87c730f7f675ae1841b6a636d7245f30b0"),
 ]
 # the factors a pinned germ is analysed with, where it has any
-GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z"}
+GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z", "x*y*z": "x;y;z"}
 
 
 # the test ids name the germ alone, so a retaken digest keeps its test's id

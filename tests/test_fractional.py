@@ -327,7 +327,7 @@ def _corpus_weak_ring(D, entry):
         return nd
     if entry["factors"]:
         try:
-            return normalization_from_smooth_factors(D, IdempotentData(
+            return normalization_from_smooth_factors(IdempotentData(
                 D, [D.poly(f) for f in entry["factors"].split(";")]))
         except InputError:
             pass

@@ -34,11 +34,7 @@ from test_perfbench_names import _traced
 SRC = pathlib.Path(logres.__file__).parent
 
 # (module, function, name) -> why the unread name stays
-ALLOWED = {
-    ("normalization", "pullback", "D"):
-        "public and traced signature pullback(p, branch, D, ...); callers "
-        "and tests pass the germ",
-}
+ALLOWED = {}
 
 # (module, qualified name) -> why the public name that no module reads stays
 PUBLIC_ALLOWED = {

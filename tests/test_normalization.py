@@ -52,7 +52,7 @@ def test_puiseux_cusp():
     b = branches[0]
     assert b.series[0] == {3: Fraction(1)}
     assert b.series[1] == {2: Fraction(1)}
-    assert pullback(D.h, b, D).is_zero_jet
+    assert pullback(D.h, b).is_zero_jet
 
 
 def test_puiseux_node_axes():
@@ -79,7 +79,7 @@ def test_puiseux_tangential_pair():
     branches = puiseux_rational(D, precision=12)
     assert len(branches) == 2
     for b in branches:
-        assert pullback(D.h, b, D).is_zero_jet
+        assert pullback(D.h, b).is_zero_jet
         assert b.is_primitive()
 
 
@@ -155,15 +155,16 @@ def test_suspension_extends_curve_data():
     one = D3.poly("1")
     assert nd.weak_ring.equals(FractionalIdeal.make([(one, one), (x, y)], D3))
     assert D3.ideal_equal_mod_h(nd.weak_ring.conductor(), [x, y])
-    # a fraction involving the passive variable
-    assert is_weakly_holomorphic(MeroFraction(D3, D3.poly("z*x"), y), nd)
+    # the branches have no series for the passive variable
+    with pytest.raises(InputError, match="variable 3"):
+        is_weakly_holomorphic(MeroFraction(D3, D3.poly("z*x"), y), nd)
 
 
 def test_smooth_factor_route_matches_branch_route():
     D = DivisorGerm(["x", "y"], "x*y")
     nd_b = normalization_from_branches(D)
     nd_f = normalization_from_smooth_factors(
-        D, IdempotentData(D, [D.poly("x"), D.poly("y")]))
+        IdempotentData(D, [D.poly("x"), D.poly("y")]))
     assert nd_b.weak_ring.equals(nd_f.weak_ring)
     assert D.ideal_equal_mod_h(nd_b.weak_ring.conductor(),
                               nd_f.weak_ring.conductor())
@@ -172,7 +173,7 @@ def test_smooth_factor_route_matches_branch_route():
 def test_smooth_factor_route_rejects_singular_factor():
     W = DivisorGerm(["x", "y", "z"], "x^2 - y^2*z")
     with pytest.raises(InputError, match="smooth"):
-        normalization_from_smooth_factors(W, IdempotentData(W, [W.h]))
+        normalization_from_smooth_factors(IdempotentData(W, [W.h]))
 
 
 def test_normalization_unsupported_class():
@@ -183,9 +184,9 @@ def test_normalization_unsupported_class():
 
 def test_conductor_bound_cusp():
     D = cusp()
-    bound, mu = conductor_bound(D)
-    assert mu == 2      # Milnor number of the cusp
-    assert bound >= 2   # true conductor exponent is 2
+    # Milnor number 2 plus multiplicity 2 minus 1; the true conductor
+    # exponent is 2
+    assert conductor_bound(D) == 3
 
 
 def test_branches_from_json():
@@ -246,17 +247,14 @@ def test_chain_inclusions_on_curves():
 
 
 def pullback_oracle(p, branch, trunc):
-    """{t-exponent: Poly in the passive variables} of p along the branch,
-    from Poly.subs in a ring with an extra variable t, cut below trunc."""
+    """{t-exponent: coefficient} of p along the branch, from Poly.subs in a
+    ring with an extra variable t, cut below trunc; p uses only variables
+    the branch has a series for."""
     n = p.n
     lift = Poly(n + 1, {e + (0,): c for e, c in p.terms.items()})
     sub = {i: Poly(n + 1, {(0,) * n + (e,): c for e, c in s.items()})
            for i, s in branch.series.items()}
-    out = {}
-    for e, c in lift.subs(sub).terms.items():
-        if e[n] < trunc:
-            out.setdefault(e[n], {})[e[:n]] = c
-    return {s: Poly(n, terms) for s, terms in out.items()}
+    return {e[n]: c for e, c in lift.subs(sub).terms.items() if e[n] < trunc}
 
 
 def test_pullback_matches_substitution_oracle():
@@ -265,28 +263,29 @@ def test_pullback_matches_substitution_oracle():
     branch = BranchParam({0: {3: 1, 4: Fraction(-2, 3), 7: 5},
                           1: {2: 1, 3: Fraction(1, 2)}}, 20)
     axis = BranchParam({0: {}, 1: {1: 1}}, 20)
-    cases = [(plane, ["x^2 - y^3", "3*x*y^2 - 1/2*y^5 + x^3*y + 7",
-                      "x^4 + x^2*y^2 - 2*y^6"]),
-             (susp, ["z*x^2 - y^3 + z^2", "2*x*y*z - z^3*y^2 + x^5 + 1",
-                     "z^4"])]
+    texts = ["x^2 - y^3", "3*x*y^2 - 1/2*y^5 + x^3*y + 7",
+             "x^4 + x^2*y^2 - 2*y^6"]
     checked = 0
-    for D, texts in cases:
+    for D in (plane, susp):
         for b in (branch, axis):
             for trunc in (None, 1, 7, 13, 40):
                 cache = {}
                 cap = b.trunc if trunc is None else min(trunc, b.trunc)
                 for text in texts:
                     p = D.poly(text)
-                    jet = pullback(p, b, D, cache=cache, trunc=trunc)
+                    jet = pullback(p, b, cache=cache, trunc=trunc)
                     assert jet.trunc == cap
-                    got = {s: c if isinstance(c, Poly) else Poly.const(D.n, c)
-                           for s, c in jet.coeffs.items()}
-                    # Fraction coefficients exactly when no variable is passive
-                    assert all(isinstance(c, Poly) == (D.n == 3)
+                    assert all(isinstance(c, Fraction)
                                for c in jet.coeffs.values())
-                    assert got == pullback_oracle(p, b, cap), (text, trunc)
+                    assert jet.coeffs == pullback_oracle(p, b, cap), \
+                        (text, trunc)
                     checked += 1
     assert checked == 60
+    # the branches have no series for z: a polynomial that uses it is
+    # rejected rather than cut to its z-free terms
+    for text in ("z*x^2 - y^3 + z^2", "2*x*y*z - z^3*y^2 + x^5 + 1", "z^4"):
+        with pytest.raises(InputError, match="variable 3"):
+            pullback(susp.poly(text), branch)
 
 
 def puiseux_digest(branches):

@@ -318,20 +318,48 @@ def _rational_roots(poly_dict):
 
 def _newton_lift(g, prec):
     """The unique series phi with phi(0) = 0 and g(x, phi(x)) = 0 mod
-    x^(prec+1), for g with dg/dy invertible at the origin."""
-    gy0 = g.terms.get((0, 1))
-    if not gy0:
+    x^(prec+1), for g with dg/dy invertible at the origin.  Newton's step
+    phi <- phi - g(x, phi) / g_y(x, phi) doubles the precision m to which
+    phi is exact; the residue at precision prec+1 must vanish, as the
+    certificate."""
+    if not g.terms.get((0, 1)):
         raise EngineError("newton lift requires a simple root")
-    x = Jet({1: ONE}, prec + 1)
-    phi = {}
+    gy = g.diff(1)
+    phi, m = {}, 1
     while True:
-        r = substitute(g, {0: x, 1: Jet(phi, prec + 1)}, prec + 1).coeffs
-        if not r:
-            return phi
-        k = min(r)
-        if k == 0:
+        top = min(2 * m, prec + 1)
+        jets = {0: Jet({1: ONE}, top), 1: Jet(phi, top)}
+        cache = {}
+        r = substitute(g, jets, top, cache)
+        v = r.valuation()
+        if v is None:
+            if top > prec:
+                return phi
+        elif v < m:
             raise EngineError("newton lift lost the root")
-        phi[k] = -r[k] / gy0
+        else:
+            # g(x, phi) = 0 mod x^m, so g_y(x, phi) is needed below x^(top-m)
+            step = r.mul(_unit_inverse(substitute(gy, jets, top, cache),
+                                       top - m), top)
+            for e in sorted(step.coeffs):
+                phi[e] = -step.coeffs[e]
+        m = top
+
+
+def _unit_inverse(u, trunc):
+    """1/u below t^trunc for a jet u with u(0) != 0, by the triangular
+    recurrence sum_j u_j w_(k-j) = 0 for k >= 1."""
+    inv0 = ONE / u.coeffs[0]
+    tail = sorted((j, c) for j, c in u.coeffs.items() if 0 < j < trunc)
+    w = [inv0]
+    for k in range(1, trunc):
+        acc = ZERO
+        for j, c in tail:
+            if j > k:
+                break
+            acc += c * w[k - j]
+        w.append(-acc * inv0)
+    return Jet(dict(enumerate(w)), trunc)
 
 
 def _substitute_edge(h2, q, m, c):
@@ -405,7 +433,7 @@ def _curve_setup(D):
     return cvars, h2
 
 
-def puiseux_rational(D, precision=48):
+def puiseux_rational(D, precision):
     """Branch parametrizations of a plane-curve germ (or of the curve factor
     of a suspension) when all Newton-Puiseux root extractions stay rational;
     None otherwise ('unsupported': branches must be supplied instead)."""
@@ -494,11 +522,13 @@ def conductor_bound(D):
 def normalization_from_branches(D, branches=None):
     """Assemble NormalizationData for a plane-curve germ or suspension.
     User-supplied branches always win over the internal expansion; both paths
-    run the same certification.  The internal expansion is taken at
-    truncation 2*cb + 16 for the conductor bound cb, and again at the
-    certification bound when that is higher.  Without supplied branches, a
-    germ whose rational expansion is unsupported gets None; a supplied list
-    must not be empty."""
+    run the same certification.  The internal expansion starts at
+    truncation max(2*cb + 16, 3*cb + 8) for the conductor bound cb, and is
+    taken again at the certification bound of the chosen denominator form
+    while that is higher, so the form and the bound always belong to the
+    same expansion.  Without supplied branches, a germ whose rational
+    expansion is unsupported gets None; a supplied list must not be
+    empty."""
     setup = _curve_setup(D)
     if setup is None:
         raise InputError("germ outside the supported class "
@@ -512,15 +542,19 @@ def normalization_from_branches(D, branches=None):
         return 2 * K + cb + 8
 
     if branches is None:
-        prec0 = 2 * cb + 16
-        branches = puiseux_rational(D, precision=prec0)
-        if branches is None:
-            return None
-        ell_full, ell_vals = _denominator_form(D, cvars, branches)
-        need = required_precision(ell_vals)
-        if prec0 < need:
-            branches = puiseux_rational(D, precision=need)
+        # need >= 3*cb + 8 for every form, so start there.  A form readable
+        # at one truncation stays readable at a higher one, so the chosen
+        # form never moves later in the schedule and the loop ends.
+        prec = max(2 * cb + 16, 3 * cb + 8)
+        while True:
+            branches = puiseux_rational(D, precision=prec)
+            if branches is None:
+                return None
             ell_full, ell_vals = _denominator_form(D, cvars, branches)
+            need = required_precision(ell_vals)
+            if need <= prec:
+                break
+            prec = need
     else:
         if not branches:
             raise InputError("supplied branches must be a non-empty list")

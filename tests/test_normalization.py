@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from logres.errors import InputError
+from logres.errors import InputError, EngineError
 from logres.poly import Poly, parse
 from logres.germs import DivisorGerm
 from logres.fractional import FractionalIdeal
 from logres.residues import MeroFraction, residue_module, IdempotentData
-from logres.normalization import (BranchParam, puiseux_rational,
+import logres.normalization as normalization
+from logres.normalization import (BranchParam, Jet, puiseux_rational,
                                   normalization_from_branches,
                                   normalization_from_smooth_factors,
                                   is_weakly_holomorphic, pullback,
@@ -53,6 +55,8 @@ def test_puiseux_cusp():
     assert b.series[0] == {3: Fraction(1)}
     assert b.series[1] == {2: Fraction(1)}
     assert pullback(D.h, b).is_zero_jet
+    with pytest.raises(TypeError, match="precision"):
+        puiseux_rational(D)
 
 
 def test_puiseux_node_axes():
@@ -315,3 +319,141 @@ GOLDEN_BRANCHES = [
 def test_puiseux_branches_are_pinned(poly, precision, digest):
     D = DivisorGerm(["x", "y"], poly)
     assert puiseux_digest(puiseux_rational(D, precision=precision)) == digest
+
+
+def linear_lift(g, prec):
+    """Reference lift, one coefficient per substitution: the lowest term of
+    the residue g(x, phi) fixes the next coefficient of phi."""
+    gy0 = g.terms[(0, 1)]
+    x = Jet({1: Fraction(1)}, prec + 1)
+    phi = {}
+    while True:
+        r = normalization.substitute(g, {0: x, 1: Jet(phi, prec + 1)},
+                                     prec + 1).coeffs
+        if not r:
+            return phi
+        k = min(r)
+        assert k > 0
+        phi[k] = -r[k] / gy0
+
+
+def seeded_simple_root_curves(seed, count):
+    """Integer g(x, y) with g(0, 0) = 0, g_y(0, 0) != 0 and a pure x term,
+    so that the root is not zero."""
+    rng = random.Random(seed)
+    units = [-3, -2, -1, 1, 2, 3]
+    out = []
+    for _ in range(count):
+        terms = {(0, 1): rng.choice(units), (rng.randint(1, 3), 0): rng.choice(units)}
+        for _ in range(rng.randint(1, 5)):
+            e = (rng.randint(0, 4), rng.randint(0, 3))
+            if sum(e) > 1:
+                terms[e] = rng.choice(units)
+        out.append(Poly(2, {e: Fraction(c) for e, c in terms.items()}))
+    return out
+
+
+@pytest.mark.parametrize("prec", [0, 1, 2, 5, 8, 13])
+def test_newton_lift_matches_linear_lift_on_seeded_curves(prec):
+    for g in seeded_simple_root_curves(7, 12):
+        phi = normalization._newton_lift(g, prec)
+        assert phi == linear_lift(g, prec), (g.terms, prec)
+        assert list(phi) == sorted(phi)
+
+
+def test_newton_lift_on_polynomial_and_zero_roots():
+    xs = ["x", "y"]
+    # root y = x + 2*x^3, times a unit
+    g = parse("(y - x - 2*x^3)*(1 + y + x^2)", xs)
+    for prec in (0, 1, 2, 3, 4, 9, 40):
+        phi = normalization._newton_lift(g, prec)
+        assert phi == linear_lift(g, prec)
+        assert phi == {e: c for e, c in {1: Fraction(1), 3: Fraction(2)}.items()
+                       if e <= prec}
+    # root y = 0
+    g = parse("y*(3 + x - y^2)", xs)
+    for prec in (0, 1, 6, 17):
+        assert normalization._newton_lift(g, prec) == {} == linear_lift(g, prec)
+
+
+def test_newton_lift_rejects_a_non_simple_or_missing_root():
+    xs = ["x", "y"]
+    with pytest.raises(EngineError, match="simple root"):
+        normalization._newton_lift(parse("y^2 - x^3", xs), 10)
+    with pytest.raises(EngineError, match="lost the root"):
+        normalization._newton_lift(parse("1 + y - x", xs), 10)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 7, 8, 40, 100])
+def test_newton_lift_substitutes_logarithmically_often(monkeypatch, prec):
+    real = normalization.substitute
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(normalization, "substitute", counting)
+    g = parse("y - x + 2*y^2 - x*y^3 + x^2*y", ["x", "y"])
+    phi = normalization._newton_lift(g, prec)
+    monkeypatch.undo()
+    assert phi == linear_lift(g, prec)
+    # ceil(log2(prec + 1)) doubling steps of two substitutions, and the
+    # certificate at full precision
+    assert len(calls) <= 2 * prec.bit_length() + 1
+    assert calls[-1] == prec + 1
+
+
+def recorded_expansions(monkeypatch):
+    precisions = []
+    real = normalization.puiseux_rational
+
+    def recording(D, precision):
+        precisions.append(precision)
+        return real(D, precision=precision)
+
+    monkeypatch.setattr(normalization, "puiseux_rational", recording)
+    return precisions
+
+
+# the truncation each germ's normalization ended at before the expansion
+# started at max(2*cb + 16, 3*cb + 8)
+ONE_EXPANSION = [
+    ("x^4 + y^5 + x*y^4", 53),
+    ("x^5-y^7", 92),
+    ("x^3+y^5", 38),
+    ("x*y*(x-y)*(x+y)", 44),
+]
+
+
+@pytest.mark.parametrize("poly,truncation", ONE_EXPANSION)
+def test_normalization_expands_once(monkeypatch, poly, truncation):
+    precisions = recorded_expansions(monkeypatch)
+    nd = normalization_from_branches(DivisorGerm(["x", "y"], poly))
+    assert precisions == [truncation]
+    assert nd.truncation == truncation
+    assert all(b.trunc == truncation for b in nd.branches)
+
+
+def test_denominator_form_and_bound_come_from_one_expansion(monkeypatch):
+    # the chosen form changes after the first re-expansion: the bound must
+    # then be that of the new form, reached by a third expansion
+    D = cusp()
+    y = D.poly("y")
+    forms = [y ** 3, y ** 5, y ** 5]   # valuations 6, 10: bounds 23, 31
+    seen = []
+
+    def switching(D, cvars, branches):
+        ell = forms[len(seen)]
+        seen.append(branches[0].trunc)
+        return ell, [pullback(ell, b).valuation() for b in branches]
+
+    precisions = recorded_expansions(monkeypatch)
+    monkeypatch.setattr(normalization, "_denominator_form", switching)
+    nd = normalization_from_branches(D)
+    assert precisions == [22, 23, 31]
+    assert seen == precisions
+    assert nd.truncation == 31
+    assert nd.weak_ring.den == y ** 5
+    x, one = D.poly("x"), D.poly("1")
+    assert nd.weak_ring.equals(FractionalIdeal.make([(one, one), (x, y)], D))

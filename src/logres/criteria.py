@@ -149,7 +149,8 @@ def check_condition_G(D, cond):
         if not D.member_mod_h(g, J):
             return FALSE, (f"conductor element {poly_str(g, D.names)} "
                            f"is not in the Jacobian ideal")
-    return FALSE, "Jacobian ideal strictly contains the conductor"
+    # unreachable: J_D lies in C_D (J in J^vv = dual(R_D), which lies in C_D)
+    raise ConsistencyError("the conductor lies in J_D without equalling it")
 
 
 def check_condition_D(D, seed=0):

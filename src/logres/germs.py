@@ -171,14 +171,12 @@ class VectorField:
 
 def log_derivations(D):
     """Generators of Der(-log D): syzygies of (dh/dx_1, ..., dh/dx_n, h)
-    projected to the first n slots.  Every output is certified logarithmic."""
+    projected to the first n slots; none is zero, since b*h = 0 forces b = 0.
+    Every output is certified logarithmic."""
     rows = list(D.partials) + [D.h]
     fields = []
     for s in syzygies(rows):
-        coeffs = s.polys[: D.n]
-        if all(c.is_zero for c in coeffs):
-            continue
-        fld = VectorField(coeffs)
+        fld = VectorField(s.polys[: D.n])
         if not fld.is_logarithmic(D):
             raise EngineError("syzygy output violated the logarithmic condition")
         fields.append(fld)

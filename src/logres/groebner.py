@@ -36,11 +36,10 @@ ONE = Fraction(1)
 class Vec:
     """Element of a free module R^r, stored as a tuple of Poly."""
 
-    __slots__ = ("polys", "_hash")
+    __slots__ = ("polys",)
 
     def __init__(self, polys):
         self.polys = tuple(polys)
-        self._hash = None
 
     @property
     def r(self):
@@ -56,11 +55,6 @@ class Vec:
 
     def __eq__(self, other):
         return isinstance(other, Vec) and self.polys == other.polys
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.polys)
-        return self._hash
 
     def __add__(self, other):
         return Vec([a + b for a, b in zip(self.polys, other.polys)])
@@ -407,8 +401,6 @@ def _compute_basis(gens, mo, transform):
             trow[i] = Poly.const(v.n, 1)
         if not v.is_zero:
             G.append(_Elem(v, mo, v.total_degree(), trow))
-    if not G:
-        return []
 
     def reduce_elem(vec, trow_parts):
         """Reduce vec against current G; returns (rem, trow) or None if zero."""
@@ -495,8 +487,11 @@ def standard_basis(gens, mo, transform=False):
     decreasing lead.  Local orders: a minimal monic standard basis (no tail
     reduction, which need not terminate over local rings).
 
-    With transform=True also returns rows T with basis[j] = sum T[j][i]*gens[i].
+    With transform=True also returns rows T with basis[j] = sum T[j][i]*gens[i];
+    only local orders keep such rows (ValueError under a global order).
     """
+    if transform and mo.is_global:
+        raise ValueError("transform rows need a local order")
     vecs = [as_vec(g) for g in gens]
     vecs_nz = [v for v in vecs if not v.is_zero]
     if not vecs_nz:
@@ -513,27 +508,11 @@ def standard_basis(gens, mo, transform=False):
     G = _minimalize(G)
 
     if not local:
-        # tail-reduce for the canonical reduced basis
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(G)):
-                others = [e for k, e in enumerate(G) if k != i]
-                if not others:
-                    continue
-                # the leads of G were taken under mo: work_mo is mo here
-                quots, rem = divide_vec(G[i].vec, others, mo)
-                if rem != G[i].vec:
-                    changed = True
-                    trow = G[i].trow
-                    if transform:
-                        for q, e in zip(quots, others):
-                            if not q.is_zero:
-                                trow = [a - q * b for a, b in zip(trow, e.trow)]
-                    if rem.is_zero:
-                        G.pop(i)
-                        break
-                    G[i] = _Elem(rem, mo, G[i].sugar, trow)
+        # the reduced basis: no lead divides another after _minimalize, so
+        # dividing an element by the others keeps its lead, and after one
+        # pass no tail term is divisible by any of the fixed leads
+        for i, e in enumerate(G):
+            G[i] = _Elem(divide_vec(e.vec, G[:i] + G[i + 1:], mo)[1], mo)
 
     out = []
     for e in G:
@@ -807,16 +786,16 @@ class RadicalVerdict:
         return f"RadicalVerdict({self.status}, method={self.method!r})"
 
 
-def _power_in_local(g, gens, order_local, bound):
-    """The least k <= bound with g^k in the local ideal of gens; the caller
-    knows that g^bound lies there."""
+def _least_power(g, gens, order, bound):
+    """The least k <= bound with g^k in the ideal of gens under order, or
+    None."""
     p = g
     for k in range(1, bound + 1):
-        if ideal_contains(p, gens, order_local):
+        if k > 1:
+            p = p * g
+        if ideal_contains(p, gens, order):
             return k
-        p = p * g
-    raise EngineError(f"the power {bound} of the candidate witness is not "
-                      f"in the ideal")
+    return None
 
 
 def radical_test(gens, n, seed=0):
@@ -845,7 +824,9 @@ def radical_test(gens, n, seed=0):
     if c is not None:
         x = next(x for x in (Poly.variable(n, i) for i in range(n))
                  if not ideal_contains(x, gens, local_order))
-        k = _power_in_local(x, gens, local_order, c)
+        k = _least_power(x, gens, local_order, c)
+        if k is None:
+            raise EngineError(f"the power {c} of the witness is not in the ideal")
         return RadicalVerdict("not_radical", witness=(x, k),
                               method="zero-dimensional")
 
@@ -858,7 +839,10 @@ def radical_test(gens, n, seed=0):
                 root = Poly.monomial(n, tuple(min(k, 1) for k in e))
                 if not ideal_contains(root, gens, local_order):
                     # root^max(e) is a multiple of the generator
-                    k = _power_in_local(root, gens, local_order, max(e))
+                    k = _least_power(root, gens, local_order, max(e))
+                    if k is None:
+                        raise EngineError(f"the power {max(e)} of the witness "
+                                          f"is not in the ideal")
                     return RadicalVerdict("not_radical", witness=(root, k),
                                           method="monomial")
         return RadicalVerdict("radical", method="monomial")
@@ -873,12 +857,8 @@ def radical_test(gens, n, seed=0):
         if not lin.is_zero:
             candidates.append(lin)
     for g in candidates:
-        if ideal_contains(g, gens, local_order):
-            continue
-        p = g
-        for k in range(2, 13):
-            p = p * g
-            if ideal_contains(p, gens, local_order):
-                return RadicalVerdict("not_radical", witness=(g, k),
-                                      method="witness search")
+        k = _least_power(g, gens, local_order, 12)
+        if k is not None and k > 1:
+            return RadicalVerdict("not_radical", witness=(g, k),
+                                  method="witness search")
     return RadicalVerdict("undecided", method="witness search exhausted")

@@ -13,6 +13,13 @@ def test_analyze_text_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "free" in out and "gorenstein" in out
+    # a germ analysed with factors also prints its direct-sum verdict
+    code = main(["analyze", "--vars", "x,y", "--poly", "x*y",
+                 "--factors", "x;y"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert any(line.split() == ["direct_sum", "true"]
+               for line in out.splitlines())
 
 
 def test_analyze_json_output(capsys):

@@ -60,6 +60,14 @@ def test_condition_G_examples():
     assert check_condition_G(W, None)[0] == "undecided"
 
 
+def test_condition_G_conductor_strictly_inside_jacobian_is_inconsistent():
+    # J_D = <x, y^2> on the cusp always lies in the conductor, so a
+    # conductor strictly inside J_D falsifies the implementation
+    D = DivisorGerm(["x", "y"], "x^2 - y^3")
+    with pytest.raises(ConsistencyError, match="conductor"):
+        check_condition_G(D, [D.poly("x^2")])
+
+
 def test_condition_D_examples():
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
     assert check_condition_D(Z)[0] == "true"
@@ -274,6 +282,10 @@ def test_classify_gorenstein_suspension():
     assert classify_gorenstein_suspension(S)[0] == "not_applicable"
     Z = DivisorGerm(["x", "y", "z"], "x*y*z")
     assert classify_gorenstein_suspension(Z)[0] == "not_applicable"
+    # a suspension only after a nonlinear change of coordinates
+    N = DivisorGerm(["x", "y", "z"], "(x+z^2)^2-y^3")
+    assert classify_gorenstein_suspension(N) == (
+        "not_applicable", "h is not a function of two linear forms")
     # a suspension in other linear coordinates: the witness is an Euler
     # field of h itself, in the input coordinates
     for text in ("(x+y)^2 - z^3", "x^2 - (y+2*z)^3"):

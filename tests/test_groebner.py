@@ -602,3 +602,88 @@ def test_zero_dimensional_radical_test_runs_no_elimination(monkeypatch):
             "zero-dimensional"
     assert radical_test((P("x^2"), P("y^3 + x*y")), 2).status == "not_radical"
     assert calls == []
+
+
+def _fixpoint_reduced_basis(gens, mo):
+    """Reference: the reduced basis by tail-reduction passes repeated until
+    one changes nothing, popping an element that reduces to zero."""
+    G = groebner._minimalize(groebner._compute_basis(gens, mo, False))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(G)):
+            others = G[:i] + G[i + 1:]
+            if not others:
+                continue
+            rem = divide_vec(G[i].vec, others, mo)[1]
+            if rem != G[i].vec:
+                changed = True
+                if rem.is_zero:
+                    G.pop(i)
+                    break
+                G[i] = _Elem(rem, mo)
+    G.sort(key=lambda e: mo.heap_key(*e.lead))
+    return [e.vec.scale(Fraction(1) / e.coeff) for e in G]
+
+
+def _embedded_rows(vecs):
+    """The rows (v_i, e_i) and the ELIM order that syzygies() reduces."""
+    n, r, s = vecs[0].n, vecs[0].r, len(vecs)
+    rows = []
+    for i, v in enumerate(vecs):
+        tail = [Poly.zero(n)] * s
+        tail[i] = Poly.const(n, 1)
+        rows.append(Vec(list(v.polys) + tail))
+    return rows, ModOrder(Order("degrevlex", n), "ELIM", elim=r)
+
+
+def _seeded_global_inputs():
+    rng = random.Random(2215)
+    cases = []
+    # at most n generators, or most ideals are the unit ideal
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        gens = [Vec([_random_poly(rng, n, 3, rng.randint(2, 4))])
+                for _ in range(rng.randint(2, n))]
+        cases.append((gens, ModOrder(Order("degrevlex", n))))
+    for _ in range(20):
+        n = rng.choice((2, 3))
+        r = rng.choice((1, 2))
+        vecs = [_random_vec(rng, n, r, 2, 3) for _ in range(rng.randint(2, 3))]
+        cases.append(_embedded_rows(vecs))
+    return cases
+
+
+def test_one_tail_pass_matches_fixpoint_reduction(monkeypatch):
+    calls = []
+    real_divide = groebner.divide_vec
+    real_compute = groebner._compute_basis
+
+    def counting(f, reducers, mo):
+        calls.append(len(reducers))
+        return real_divide(f, reducers, mo)
+
+    def compute(gens, mo, transform):
+        G = real_compute(gens, mo, transform)
+        calls.clear()
+        return G
+
+    for gens, mo in _seeded_global_inputs():
+        expected = _fixpoint_reduced_basis(gens, mo)
+        monkeypatch.setattr(groebner, "divide_vec", counting)
+        monkeypatch.setattr(groebner, "_compute_basis", compute)
+        basis = standard_basis(gens, mo)
+        monkeypatch.undo()
+        assert basis == expected
+        # one division per element after the Buchberger loop, by the others
+        assert calls == [len(basis) - 1] * len(basis)
+
+
+def test_transform_rows_need_a_local_order():
+    gens = [P("x^2 - y"), P("x*y")]
+    with pytest.raises(ValueError, match="local order"):
+        standard_basis(gens, ModOrder(GLOBAL2), transform=True)
+    basis, T = standard_basis(gens, ModOrder(LOCAL2), transform=True)
+    for b, row in zip(basis, T):
+        assert b.polys[0] == sum((t * g for t, g in zip(row, gens)),
+                                 Poly.zero(2))

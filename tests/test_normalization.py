@@ -457,3 +457,31 @@ def test_denominator_form_and_bound_come_from_one_expansion(monkeypatch):
     assert nd.weak_ring.den == y ** 5
     x, one = D.poly("x"), D.poly("1")
     assert nd.weak_ring.equals(FractionalIdeal.make([(one, one), (x, y)], D))
+
+
+# germs whose expansion recurses: a root of the edge polynomial with
+# multiplicity > 1 is expanded again in y' after y = x^m (c + y')
+RECURSIVE_EXPANSIONS = [
+    # y = x and y = x + x^2 share the root c = 1; after the shift y' divides
+    # the strict transform, which is the branch y' = 0
+    ("(y-x)*(y-x-x^2)", 2, True),
+    # one branch with two characteristic pairs
+    ("(y^2-x^3)^2-4*x^5*y-x^7", 1, False),
+]
+
+
+@pytest.mark.parametrize("poly,count,y_factor", RECURSIVE_EXPANSIONS)
+def test_recursive_expansion(monkeypatch, poly, count, y_factor):
+    calls = []
+    real = normalization._expand
+
+    def recording(h2, prec, depth, edge_filter=None):
+        calls.append((depth, normalization._var_divides(h2, 1)))
+        return real(h2, prec, depth, edge_filter)
+
+    monkeypatch.setattr(normalization, "_expand", recording)
+    # the branches are certified on h inside the call
+    nd = normalization_from_branches(DivisorGerm(["x", "y"], poly))
+    assert len(nd.branches) == count
+    assert max(depth for depth, _ in calls) == 1
+    assert any(depth == 1 and divides for depth, divides in calls) == y_factor

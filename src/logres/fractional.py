@@ -16,8 +16,7 @@ import random
 
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div, exp_deg
-from .groebner import (ideal_quotient, division_certificate, standard_basis,
-                       ModOrder, leads_dim)
+from .groebner import ideal_quotient, standard_basis, lift, ModOrder, leads_dim
 
 NZD_TRIAL_BUDGET = 32
 
@@ -240,20 +239,13 @@ class FractionalIdeal:
         dropped), certified to be an ideal of A."""
         D = self.germ
         dual = self.dual()
-        basis, T = standard_basis([dual.den, D.h], ModOrder(D.local_order),
-                                  transform=True)
-        basis = [v.polys[0] for v in basis]
         out = []
-        for p in dual.num:
-            quots, _, rem = division_certificate(p, basis, ModOrder(D.local_order))
-            if not rem.is_zero:
+        for lifted in lift(dual.num, [dual.den, D.h], D.local_order):
+            if lifted is None:
                 raise InputError("the fractional ideal does not contain O_D")
-            # p = (sum_j quots_j (T_j0 den + T_j1 h)) / unit, so mod h the
-            # fraction p/den is a unit multiple of sum_j quots_j T_j0
-            rep = Poly.zero(D.n)
-            for q, trow in zip(quots, T):
-                if not q.is_zero:
-                    rep = rep + q * trow[0]
+            # unit*p = a*den + b*h, so mod h the fraction p/den is a unit
+            # multiple of a
+            rep = lifted[1][0]
             if not rep.is_zero:
                 out.append(rep)
         gens = list(D.mod_h_basis(out))

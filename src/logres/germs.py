@@ -19,7 +19,7 @@ from .errors import InputError, EngineError, ParseError
 from .poly import Poly, Order, parse, poly_str, exact_div
 from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
                        syzygies, division_certificate, min_generators_local,
-                       standard_basis, local_dim)
+                       lift, local_dim)
 
 
 class DivisorGerm:
@@ -155,12 +155,6 @@ class VectorField:
         """dh(delta) in <h> locally: the defining membership of Der(-log D)."""
         return D.in_h(self.apply(D.h))
 
-    def __eq__(self, other):
-        return isinstance(other, VectorField) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def str_of(self, D):
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -283,36 +277,24 @@ class EulerField:
         return lhs == self.unit * D.h
 
 
+# (h, names) -> the lift of h over its partials, kept across calls
+_PARTIALS_CACHE = {}
+
+
 @once_per_germ
 def euler_field(D):
     """The witness chi with chi(h) = h when h lies in the ideal of its
     partials locally; None otherwise."""
-    basis, T = _partials_basis(D)
-    quots, unit, rem = division_certificate(D.h, list(basis), ModOrder(D.local_order))
-    if not rem.is_zero:
+    key = (D.h, D.names)
+    if key not in _PARTIALS_CACHE:
+        _PARTIALS_CACHE[key] = lift([D.h], D.partials, D.local_order)[0]
+    if _PARTIALS_CACHE[key] is None:
         return None
-    coeffs = [Poly.zero(D.n) for _ in range(D.n)]
-    for q, trow in zip(quots, T):
-        if q.is_zero:
-            continue
-        for i in range(D.n):
-            coeffs[i] = coeffs[i] + q * trow[i]
+    unit, coeffs = _PARTIALS_CACHE[key]
     ef = EulerField(coeffs, unit)
     if not ef.check(D):
         raise EngineError("Euler certificate failed to re-multiply")
     return ef
-
-
-_PARTIALS_CACHE = {}
-
-
-def _partials_basis(D):
-    key = (D.h, D.names)
-    if key not in _PARTIALS_CACHE:
-        basis, T = standard_basis(list(D.partials), ModOrder(D.local_order),
-                                  transform=True)
-        _PARTIALS_CACHE[key] = ([v.polys[0] for v in basis], T)
-    return _PARTIALS_CACHE[key]
 
 
 class LogOneForm:

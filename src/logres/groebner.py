@@ -15,7 +15,9 @@ basis of {(v_i, e_i)} under an order that makes the original components
 dominate; basis vectors with vanishing original part generate the syzygy
 module.  Since localization is flat, polynomial syzygies generate the
 local syzygy module too, which is what the Nakayama-style minimal
-generator count below relies on.
+generator count below relies on.  The same embedding gives lift its
+coefficients: the other basis vectors carry their original part as a
+combination of the v_i.
 """
 
 from __future__ import annotations
@@ -133,15 +135,14 @@ class _Elem:
     under the order of the computation: a basis element, and the one reducer
     type of division."""
 
-    __slots__ = ("vec", "lead", "coeff", "ecart", "sugar", "trow", "mono")
+    __slots__ = ("vec", "lead", "coeff", "ecart", "sugar", "mono")
 
-    def __init__(self, vec, mo, sugar=0, trow=None):
+    def __init__(self, vec, mo, sugar=0):
         self.vec = vec
         self.lead = mo.lead(vec)
         self.coeff = mo.lead_coeff(vec, self.lead)
         self.ecart = vec.total_degree() - exp_deg(self.lead[1])
         self.sugar = sugar
-        self.trow = trow
         # a single term: the S-vector of two such elements is zero
         self.mono = sum(len(p.terms) for p in vec.polys) == 1
 
@@ -390,30 +391,10 @@ def division_certificate(f, basis, mo):
 # basis computation
 
 
-def _compute_basis(gens, mo, transform):
-    """Shared Buchberger/Mora loop.  Returns the list of _Elem."""
-    G = []
-    for i, g in enumerate(gens):
-        v = as_vec(g)
-        trow = None
-        if transform:
-            trow = [Poly.zero(v.n) for _ in gens]
-            trow[i] = Poly.const(v.n, 1)
-        if not v.is_zero:
-            G.append(_Elem(v, mo, v.total_degree(), trow))
-
-    def reduce_elem(vec, trow_parts):
-        """Reduce vec against current G; returns (rem, trow) or None if zero."""
-        quots, unit, rem = _divide(vec, G, mo, transform)
-        if rem.is_zero:
-            return None
-        trow = None
-        if transform:
-            trow = [unit * t for t in trow_parts]
-            for q, e in zip(quots, G):
-                if not q.is_zero:
-                    trow = [a - q * b for a, b in zip(trow, e.trow)]
-        return rem, trow
+def _compute_basis(vecs, mo):
+    """Shared Buchberger/Mora loop over nonzero vectors.  Returns the list
+    of _Elem."""
+    G = [_Elem(v, mo, v.total_degree()) for v in vecs]
 
     pairs = []
 
@@ -445,16 +426,10 @@ def _compute_basis(gens, mo, transform):
                 - gj.vec.mul_term(ONE / gj.coeff, dj))
         if svec.is_zero:
             continue
-        trow_parts = None
-        if transform:
-            trow_parts = [p.mul_term(ONE / gi.coeff, di) for p in gi.trow]
-            trow_parts = [q1 - q2.mul_term(ONE / gj.coeff, dj)
-                          for q1, q2 in zip(trow_parts, gj.trow)]
-        red = reduce_elem(svec, trow_parts)
-        if red is None:
+        rem = _divide(svec, G, mo, False)[2]
+        if rem.is_zero:
             continue
-        rem, trow = red
-        G.append(_Elem(rem, mo, sugar, trow))
+        G.append(_Elem(rem, mo, sugar))
         for k in range(len(G) - 1):
             push_pair(k, len(G) - 1)
     return G
@@ -480,22 +455,16 @@ def _minimalize(G):
     return keep
 
 
-def standard_basis(gens, mo, transform=False):
+def standard_basis(gens, mo):
     """Standard basis of the submodule (or ideal, rank 1) generated by gens.
 
     Global orders: the unique reduced Groebner basis, monic, sorted by
     decreasing lead.  Local orders: a minimal monic standard basis (no tail
     reduction, which need not terminate over local rings).
-
-    With transform=True also returns rows T with basis[j] = sum T[j][i]*gens[i];
-    only local orders keep such rows (ValueError under a global order).
     """
-    if transform and mo.is_global:
-        raise ValueError("transform rows need a local order")
-    vecs = [as_vec(g) for g in gens]
-    vecs_nz = [v for v in vecs if not v.is_zero]
+    vecs_nz = [v for v in map(as_vec, gens) if not v.is_zero]
     if not vecs_nz:
-        return ([], []) if transform else []
+        return []
     n = vecs_nz[0].n
 
     local = not mo.is_global
@@ -504,8 +473,7 @@ def standard_basis(gens, mo, transform=False):
         # leading terms agree with the global twin on homogeneous input
         work_mo = ModOrder(Order("degrevlex", n), mo.rule, mo.elim)
 
-    G = _compute_basis(gens, work_mo, transform)
-    G = _minimalize(G)
+    G = _minimalize(_compute_basis(vecs_nz, work_mo))
 
     if not local:
         # the reduced basis: no lead divides another after _minimalize, so
@@ -514,17 +482,8 @@ def standard_basis(gens, mo, transform=False):
         for i, e in enumerate(G):
             G[i] = _Elem(divide_vec(e.vec, G[:i] + G[i + 1:], mo)[1], mo)
 
-    out = []
-    for e in G:
-        c = e.coeff
-        vec = e.vec.scale(ONE / c)
-        trow = [t.scale(ONE / c) for t in e.trow] if transform else None
-        out.append((vec, mo.heap_key(*e.lead), trow))
-    out.sort(key=lambda t: t[1])
-    basis = [v for v, _, _ in out]
-    if transform:
-        return basis, [t for _, _, t in out]
-    return basis
+    G.sort(key=lambda e: mo.heap_key(*e.lead))
+    return [e.vec.scale(ONE / e.coeff) for e in G]
 
 
 def _is_homogeneous(p):
@@ -584,27 +543,58 @@ def ideal_equal(gens1, gens2, order):
 # syzygies and derived operations
 
 
-def syzygies(vecs):
-    """Generators of {a in R^s : sum a_i * vecs_i = 0} for the given vectors
-    (exact polynomial syzygies; they also generate all local syzygies)."""
-    vecs = [as_vec(v) for v in vecs]
-    s = len(vecs)
-    if not vecs:
-        return []
-    r = vecs[0].r
-    n = vecs[0].n
+def _embedded_basis(vecs, order):
+    """A standard basis of the rows (v_i, e_i) under an order in which the
+    v-part dominates, split by its head, the v-part: (head, row) for each
+    element with a nonzero head, then the rows of the elements whose head
+    is zero.  Every element has head = sum row_i * v_i exactly, so the
+    heads form a standard basis of the module of the v_i and the zero-head
+    rows generate its syzygies."""
+    r, n, s = vecs[0].r, vecs[0].n, len(vecs)
     zero = Poly.zero(n)
     embedded = []
     for i, v in enumerate(vecs):
         tail = [zero] * s
         tail[i] = Poly.const(n, 1)
         embedded.append(Vec(list(v.polys) + tail))
-    mo = ModOrder(Order("degrevlex", n), "ELIM", elim=r)
-    basis = standard_basis(embedded, mo)
+    heads, syz = [], []
+    for b in standard_basis(embedded, ModOrder(order, "ELIM", elim=r)):
+        head, row = Vec(b.polys[:r]), Vec(b.polys[r:])
+        if head.is_zero:
+            syz.append(row)
+        else:
+            heads.append((head, row))
+    return heads, syz
+
+
+def syzygies(vecs):
+    """Generators of {a in R^s : sum a_i * vecs_i = 0} for the given vectors
+    (exact polynomial syzygies; they also generate all local syzygies)."""
+    vecs = [as_vec(v) for v in vecs]
+    if not vecs:
+        return []
+    return _embedded_basis(vecs, Order("degrevlex", vecs[0].n))[1]
+
+
+def lift(fs, gens, order):
+    """For each f, (unit, coeffs) with unit*f = sum coeffs_i * gens_i exactly
+    and unit(0) != 0 (unit = 1 under a global order), or None when f is not
+    in the ideal of gens (locally, under a local order).  The coefficients
+    come from the rows of one embedded basis: unit*f = sum q_j * head_j."""
+    heads, _ = _embedded_basis([Vec([g]) for g in gens], order)
+    zero = [Poly.zero(gens[0].n)] * len(gens)
     out = []
-    for b in basis:
-        if all(p.is_zero for p in b.polys[:r]):
-            out.append(Vec(b.polys[r:]))
+    for f in fs:
+        quots, unit, rem = division_certificate(f, [h for h, _ in heads],
+                                                _ideal_mo(order))
+        if not rem.is_zero:
+            out.append(None)
+            continue
+        coeffs = zero
+        for q, (_, row) in zip(quots, heads):
+            if not q.is_zero:
+                coeffs = [a + q * b for a, b in zip(coeffs, row.polys)]
+        out.append((unit, coeffs))
     return out
 
 

@@ -35,6 +35,9 @@ from .groebner import local_colength, kernel_basis
 from .fractional import FractionalIdeal, nzd_combinations
 
 MAX_EXPANSION_DEPTH = 64
+# the largest |k| whose divisors the rational root search enumerates, by
+# trial division up to sqrt(k); beyond it the expansion is unsupported
+MAX_ROOT_SEARCH = 10 ** 12
 
 
 class Unsupported(Exception):
@@ -266,7 +269,8 @@ def _dense(poly_dict):
 
 def _rational_roots(poly_dict):
     """All (root, multiplicity) pairs of rational roots; second return value
-    is the degree left undecided (0 means the polynomial split rationally)."""
+    is the degree left undecided (0 means the polynomial split rationally).
+    Raises Unsupported when an end coefficient exceeds MAX_ROOT_SEARCH."""
     coeffs = _dense(poly_dict)
     den_lcm = 1
     for c in coeffs:
@@ -277,6 +281,8 @@ def _rational_roots(poly_dict):
 
     def divisors(k):
         k = abs(k)
+        if k > MAX_ROOT_SEARCH:
+            raise Unsupported
         out = set()
         d = 1
         while d * d <= k:
@@ -715,7 +721,7 @@ def _series_from_json(pairs, where):
     for pair in pairs if isinstance(pairs, list) else [pairs]:
         try:
             e, c = pair
-            if type(e) is not int or e < 0:
+            if type(e) is not int or e < 0 or type(c) not in (int, str):
                 raise ValueError
             series[e] = Fraction(c)
         except (TypeError, ValueError, ZeroDivisionError):

@@ -143,6 +143,10 @@ def _cusp_branch(**changes):
     pytest.param("[]", "non-empty list", id="empty-list"),
     pytest.param(_cusp_branch(param={"x": [[3, "abc"]], "y": [[2, "1"]]}),
                  "[3, 'abc'] is not", id="coefficient"),
+    pytest.param(_cusp_branch(param={"x": [[3, 0.1]], "y": [[2, "1"]]}),
+                 "[exponent, coefficient] pair", id="float-coefficient"),
+    pytest.param(_cusp_branch(param={"x": [[3, "1"]], "y": [[2, True]]}),
+                 "[exponent, coefficient] pair", id="bool-coefficient"),
     pytest.param(_cusp_branch(truncation="many"), "'many'",
                  id="truncation-text"),
     pytest.param(_cusp_branch(param={"x": [[-3, "1"]], "y": [[2, "1"]]}),

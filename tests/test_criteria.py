@@ -396,6 +396,18 @@ def test_unit_multiple_has_the_verdicts_of_its_germ(vars_, poly, local):
     assert report.verdicts == analyze_text(list(vars_), local).verdicts
 
 
+@pytest.mark.parametrize("poly", ["y^2 - 10000000000000061*x^3",
+                                  "y^2 - 1000000000000000000000007*x^3"])
+def test_large_coefficient_leaves_the_expansion_unsupported(poly):
+    # the rational roots of the edge polynomial would need the divisors of
+    # a coefficient above normalization.MAX_ROOT_SEARCH
+    with deadline(2):
+        data = analyze_text(["x", "y"], poly).data
+    assert data["verdicts"]["residues_weakly_holomorphic"] == "undecided"
+    assert data["verdicts"]["jacobian_eq_conductor"] == "undecided"
+    assert "expansion unsupported" in data["witnesses"]["normalization"]
+
+
 def test_deadline_fails_a_hang():
     with pytest.raises(pytest.fail.Exception, match="deadline"):
         with deadline(0.05):
@@ -466,7 +478,7 @@ def test_analyze_rejects_empty_branch_list():
 
 
 # the work each fact costs, wrapped where it is done: log_derivations
-# inside is_free, the division by the partials inside euler_field, the
+# inside is_free, the lift of h over its partials inside euler_field, the
 # factorization check, the idempotents, the comparison of fractional ideals,
 # condition (B), which also decides (F) on a curve germ without factors, and
 # the conductor
@@ -485,16 +497,17 @@ def _count_work(monkeypatch):
 
     for target, attr, name in (
             (germs, "log_derivations", "log_derivations"),
-            (germs, "_partials_basis", "euler_division"),
+            (germs, "lift", "euler_division"),
             (residues, "validate_factorization", "validate_factorization"),
             (residues.IdempotentData, "__init__", "IdempotentData"),
             (FractionalIdeal, "equals", "equals"),
             (FractionalIdeal, "conductor", "conductor"),
             (criteria, "check_condition_B", "condition_B")):
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
-    # as in a fresh process: the first R_D of the germ is computed and
-    # certified
+    # as in a fresh process: the first R_D and the first Euler lift of the
+    # germ are computed and certified
     monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
+    monkeypatch.setattr(germs, "_PARTIALS_CACHE", {})
     return calls
 
 

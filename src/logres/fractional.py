@@ -7,7 +7,7 @@ I^dual = {f : f*I inside O_D}, computed as den * (<c> : num) / c for a
 certified nonzerodivisor c inside the numerator ideal; the quotient is an
 ideal quotient mod h.  Equality is decided by cross-multiplied ideal
 comparison.  The conductor of a ring between O_D and its normalization is
-its dual, read back as an ideal of O_D.
+its dual, which lies in O_D: one ideal quotient mod h.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import random
 
 from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div, exp_deg
-from .groebner import ideal_quotient, standard_basis, lift, ModOrder, leads_dim
+from .groebner import (ideal_quotient, reduce_poly, standard_basis, ModOrder,
+                       leads_dim)
 
 NZD_TRIAL_BUDGET = 32
 
@@ -235,20 +236,17 @@ class FractionalIdeal:
     def conductor(self):
         """For a fractional ideal A containing O_D (the weakly holomorphic
         ring, or R_D when it equals that ring): polynomial generators of the
-        conductor dual(A) = {f : f*A in O_D} as an ideal of O_D (unit factors
-        dropped), certified to be an ideal of A."""
+        conductor dual(A) = {f : f*A in O_D} as an ideal of O_D.  As 1 is in
+        A, the dual lies in O_D, so it is the ideal quotient (<den, h> : num)
+        mod h; it is certified to be an ideal of A."""
         D = self.germ
-        dual = self.dual()
-        out = []
-        for lifted in lift(dual.num, [dual.den, D.h], D.local_order):
-            if lifted is None:
-                raise InputError("the fractional ideal does not contain O_D")
-            # unit*p = a*den + b*h, so mod h the fraction p/den is a unit
-            # multiple of a
-            rep = lifted[1][0]
-            if not rep.is_zero:
-                out.append(rep)
-        gens = list(D.mod_h_basis(out))
+        one = Poly.const(D.n, 1)
+        if not self.contains_fraction(one, one):
+            raise InputError("the fractional ideal does not contain O_D")
+        # den mod h generates the same <den, h> with smaller coefficients
+        den = reduce_poly(self.den, [D.h], D.global_order)
+        gens = list(D.mod_h_basis(
+            ideal_quotient([den, D.h], self.num, D.global_order)))
         cond = FractionalIdeal(D, gens, 1)
         if not cond.includes_product(cond, self):
             raise EngineError("conductor is not an ideal of the ring")

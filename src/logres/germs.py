@@ -19,7 +19,7 @@ from .errors import InputError, EngineError, ParseError
 from .poly import Poly, Order, parse, poly_str, exact_div
 from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
                        syzygies, division_certificate, min_generators_local,
-                       lift, local_dim)
+                       local_dim)
 
 
 class DivisorGerm:
@@ -163,13 +163,23 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
+# (h, names) -> the syzygies of (dh/dx_1, ..., dh/dx_n, h), kept across calls
+_PARTIALS_CACHE = {}
+
+
+def _log_syzygies(D):
+    key = (D.h, D.names)
+    if key not in _PARTIALS_CACHE:
+        _PARTIALS_CACHE[key] = syzygies(list(D.partials) + [D.h])
+    return _PARTIALS_CACHE[key]
+
+
 def log_derivations(D):
     """Generators of Der(-log D): syzygies of (dh/dx_1, ..., dh/dx_n, h)
     projected to the first n slots; none is zero, since b*h = 0 forces b = 0.
     Every output is certified logarithmic."""
-    rows = list(D.partials) + [D.h]
     fields = []
-    for s in syzygies(rows):
+    for s in _log_syzygies(D):
         fld = VectorField(s.polys[: D.n])
         if not fld.is_logarithmic(D):
             raise EngineError("syzygy output violated the logarithmic condition")
@@ -277,21 +287,17 @@ class EulerField:
         return lhs == self.unit * D.h
 
 
-# (h, names) -> the lift of h over its partials, kept across calls
-_PARTIALS_CACHE = {}
-
-
 @once_per_germ
 def euler_field(D):
     """The witness chi with chi(h) = h when h lies in the ideal of its
-    partials locally; None otherwise."""
-    key = (D.h, D.names)
-    if key not in _PARTIALS_CACHE:
-        _PARTIALS_CACHE[key] = lift([D.h], D.partials, D.local_order)[0]
-    if _PARTIALS_CACHE[key] is None:
+    partials locally; None otherwise.  It is a syzygy (a, b) of (dh, h) with
+    b(0) != 0, preferably with b constant: the b's generate the ideal of the
+    u with u*h in <dh>, which holds a unit iff one of its generators is."""
+    found = [s.polys for s in _log_syzygies(D) if s.polys[-1].constant_term()]
+    if not found:
         return None
-    unit, coeffs = _PARTIALS_CACHE[key]
-    ef = EulerField(coeffs, unit)
+    *coeffs, b = next((s for s in found if s[-1].is_constant()), found[0])
+    ef = EulerField(coeffs, -b)
     if not ef.check(D):
         raise EngineError("Euler certificate failed to re-multiply")
     return ef

@@ -15,9 +15,7 @@ basis of {(v_i, e_i)} under an order that makes the original components
 dominate; basis vectors with vanishing original part generate the syzygy
 module.  Since localization is flat, polynomial syzygies generate the
 local syzygy module too, which is what the Nakayama-style minimal
-generator count below relies on.  The same embedding gives lift its
-coefficients: the other basis vectors carry their original part as a
-combination of the v_i.
+generator count below relies on.
 """
 
 from __future__ import annotations
@@ -543,13 +541,14 @@ def ideal_equal(gens1, gens2, order):
 # syzygies and derived operations
 
 
-def _embedded_basis(vecs, order):
-    """A standard basis of the rows (v_i, e_i) under an order in which the
-    v-part dominates, split by its head, the v-part: (head, row) for each
-    element with a nonzero head, then the rows of the elements whose head
-    is zero.  Every element has head = sum row_i * v_i exactly, so the
-    heads form a standard basis of the module of the v_i and the zero-head
-    rows generate its syzygies."""
+def syzygies(vecs):
+    """Generators of {a in R^s : sum a_i * vecs_i = 0} for the given vectors
+    (exact polynomial syzygies; they also generate all local syzygies): the
+    rows of the standard-basis elements of the (v_i, e_i) whose v-part is
+    zero, under an order in which the v-part dominates."""
+    vecs = [as_vec(v) for v in vecs]
+    if not vecs:
+        return []
     r, n, s = vecs[0].r, vecs[0].n, len(vecs)
     zero = Poly.zero(n)
     embedded = []
@@ -557,45 +556,9 @@ def _embedded_basis(vecs, order):
         tail = [zero] * s
         tail[i] = Poly.const(n, 1)
         embedded.append(Vec(list(v.polys) + tail))
-    heads, syz = [], []
-    for b in standard_basis(embedded, ModOrder(order, "ELIM", elim=r)):
-        head, row = Vec(b.polys[:r]), Vec(b.polys[r:])
-        if head.is_zero:
-            syz.append(row)
-        else:
-            heads.append((head, row))
-    return heads, syz
-
-
-def syzygies(vecs):
-    """Generators of {a in R^s : sum a_i * vecs_i = 0} for the given vectors
-    (exact polynomial syzygies; they also generate all local syzygies)."""
-    vecs = [as_vec(v) for v in vecs]
-    if not vecs:
-        return []
-    return _embedded_basis(vecs, Order("degrevlex", vecs[0].n))[1]
-
-
-def lift(fs, gens, order):
-    """For each f, (unit, coeffs) with unit*f = sum coeffs_i * gens_i exactly
-    and unit(0) != 0 (unit = 1 under a global order), or None when f is not
-    in the ideal of gens (locally, under a local order).  The coefficients
-    come from the rows of one embedded basis: unit*f = sum q_j * head_j."""
-    heads, _ = _embedded_basis([Vec([g]) for g in gens], order)
-    zero = [Poly.zero(gens[0].n)] * len(gens)
-    out = []
-    for f in fs:
-        quots, unit, rem = division_certificate(f, [h for h, _ in heads],
-                                                _ideal_mo(order))
-        if not rem.is_zero:
-            out.append(None)
-            continue
-        coeffs = zero
-        for q, (_, row) in zip(quots, heads):
-            if not q.is_zero:
-                coeffs = [a + q * b for a, b in zip(coeffs, row.polys)]
-        out.append((unit, coeffs))
-    return out
+    mo = ModOrder(Order("degrevlex", n), "ELIM", elim=r)
+    return [Vec(b.polys[r:]) for b in standard_basis(embedded, mo)
+            if all(p.is_zero for p in b.polys[:r])]
 
 
 def ideal_quotient(I, J, order):

@@ -501,6 +501,9 @@ class NormalizationData:
 
 
 def _certify_branch(D, branch):
+    if any(0 in s for s in branch.series.values()):
+        raise InputError("branch does not pass through the origin "
+                         "(a series has a term of exponent 0)")
     sub = pullback(D.h, branch)
     if not sub.is_zero_jet:
         raise InputError(
@@ -561,9 +564,13 @@ def normalization_from_branches(D, branches=None):
             if need <= prec:
                 break
             prec = need
+        for b in branches:
+            _certify_branch(D, b)
     else:
         if not branches:
             raise InputError("supplied branches must be a non-empty list")
+        for b in branches:
+            _certify_branch(D, b)
         ell_full, ell_vals = _denominator_form(D, cvars, branches)
         need = required_precision(ell_vals)
         short = [b for b in branches if b.trunc < need]
@@ -572,8 +579,6 @@ def normalization_from_branches(D, branches=None):
                 f"supplied branch truncation is below the certification bound "
                 f"{need}; raise the truncation")
 
-    for b in branches:
-        _certify_branch(D, b)
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
             if branches[i].same_branch(branches[j]):

@@ -136,35 +136,48 @@ def _cusp_branch(**changes):
     return json.dumps([entry])
 
 
-@pytest.mark.parametrize("text,message", [
-    pytest.param(b"\xff[", "utf-8", id="not-utf-8"),
-    pytest.param("{not json", "not JSON", id="not-json"),
-    pytest.param("[1]", "branch entry 0", id="entry-not-object"),
-    pytest.param("[]", "non-empty list", id="empty-list"),
+CUSP = "x^2 - y^3"
+
+
+@pytest.mark.parametrize("text,message,poly", [
+    pytest.param(b"\xff[", "utf-8", CUSP, id="not-utf-8"),
+    pytest.param("{not json", "not JSON", CUSP, id="not-json"),
+    pytest.param("[1]", "branch entry 0", CUSP, id="entry-not-object"),
+    pytest.param("[]", "non-empty list", CUSP, id="empty-list"),
     pytest.param(_cusp_branch(param={"x": [[3, "abc"]], "y": [[2, "1"]]}),
-                 "[3, 'abc'] is not", id="coefficient"),
+                 "[3, 'abc'] is not", CUSP, id="coefficient"),
     pytest.param(_cusp_branch(param={"x": [[3, 0.1]], "y": [[2, "1"]]}),
-                 "[exponent, coefficient] pair", id="float-coefficient"),
+                 "[exponent, coefficient] pair", CUSP, id="float-coefficient"),
     pytest.param(_cusp_branch(param={"x": [[3, "1"]], "y": [[2, True]]}),
-                 "[exponent, coefficient] pair", id="bool-coefficient"),
-    pytest.param(_cusp_branch(truncation="many"), "'many'",
+                 "[exponent, coefficient] pair", CUSP, id="bool-coefficient"),
+    pytest.param(_cusp_branch(truncation="many"), "'many'", CUSP,
                  id="truncation-text"),
     pytest.param(_cusp_branch(param={"x": [[-3, "1"]], "y": [[2, "1"]]}),
-                 "[-3, '1'] is not", id="negative-exponent"),
-    pytest.param(_cusp_branch(truncation=0), "truncation 0",
+                 "[-3, '1'] is not", CUSP, id="negative-exponent"),
+    pytest.param(_cusp_branch(truncation=0), "truncation 0", CUSP,
                  id="truncation-0"),
     pytest.param(_cusp_branch(param={"x": 3, "y": [[2, "1"]]}),
-                 "'x': 3 is not", id="table-not-list"),
+                 "'x': 3 is not", CUSP, id="table-not-list"),
     pytest.param(_cusp_branch(param={"x": [[3, "1", 4]], "y": [[2, "1"]]}),
-                 "[3, '1', 4] is not", id="not-a-pair"),
+                 "[3, '1', 4] is not", CUSP, id="not-a-pair"),
     pytest.param(_cusp_branch(param={"x": [[3, "1"]]}),
-                 "no series for variable 2", id="missing-variable"),
+                 "no series for variable 2", CUSP, id="missing-variable"),
+    # a branch through (1, 0): x = 1, y = t misses h, and x = 1 + t, y = 0
+    # annihilates it; either is rejected before its valuations are read
+    pytest.param(json.dumps([{"param": {"x": [[1, "1"]], "y": []}},
+                             {"param": {"x": [[0, "1"]], "y": [[1, "1"]]}}]),
+                 "does not pass through the origin", "x*y", id="off-origin"),
+    pytest.param(json.dumps([{"param": {"x": [[1, "1"]], "y": []}},
+                             {"param": {"x": [], "y": [[1, "1"]]}},
+                             {"param": {"x": [[0, "1"], [1, "1"]], "y": []}}]),
+                 "does not pass through the origin", "x*y",
+                 id="off-origin-annihilating"),
 ])
 def test_analyze_malformed_branches_file_exit_2(tmp_path, capsys, text,
-                                                message):
+                                                message, poly):
     path = tmp_path / "branches.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    code = main(["analyze", "--vars", "x,y", "--poly", "x^2 - y^3",
+    code = main(["analyze", "--vars", "x,y", "--poly", poly,
                  "--branches", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err

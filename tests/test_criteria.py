@@ -12,7 +12,7 @@ from logres import criteria, fractional, germs, residues
 from logres.errors import InputError, ConsistencyError
 from logres.fractional import FractionalIdeal
 from logres.germs import DivisorGerm, is_free
-from logres.groebner import local_dim, _row_echelon
+from logres.groebner import ideal_contains, local_dim, _row_echelon
 from logres.poly import parse
 from logres.residues import IdempotentData
 from logres.normalization import normalization_from_branches, _curve_setup
@@ -268,6 +268,33 @@ def test_condition_B_agrees_with_the_old_routes_on_seeded_germs():
     assert checked >= 25
 
 
+def test_euler_field_exists_iff_h_is_in_its_jacobian_ideal():
+    # the syzygy route of euler_field against local membership of h in <dh>,
+    # on the corpus, the seeded germs and unit multiples of germs
+    from logres.corpus import CORPUS
+    germs_ = [DivisorGerm(e["vars"], e["poly"]) for e in CORPUS]
+    for _, names, texts, _ in _seeded_germs(random.Random(2811)):
+        try:
+            germs_.append(DivisorGerm(names, "*".join(f"({t})" for t in texts)))
+        except InputError:
+            pass  # a random cubic term made h not squarefree
+    for names, text in ((["x", "y"], "x*y*(1+x)"),
+                        (["x", "y"], "(x^2-y^3)*(2+x+y)"),
+                        (["x", "y"], "(x^4+y^5+x*y^4)*(1-y)"),
+                        (["x", "y", "z"], "x*y*z*(1+x)"),
+                        (["x", "y", "z"], "(x^2-y^2*z)*(1+z)")):
+        germs_.append(DivisorGerm(names, text))
+    verdicts = set()
+    with deadline(30):
+        for D in germs_:
+            ef = germs.euler_field(D)
+            member = ideal_contains(D.h, D.partials, D.local_order)
+            assert (ef is not None) == member, D
+            assert ef is None or ef.check(D), D
+            verdicts.add(member)
+    assert verdicts == {True, False}
+
+
 def test_classify_gorenstein_suspension():
     C = DivisorGerm(["x", "y"], "x^2 - y^3")
     verdict, witness = classify_gorenstein_suspension(C)
@@ -478,11 +505,11 @@ def test_analyze_rejects_empty_branch_list():
 
 
 # the work each fact costs, wrapped where it is done: log_derivations
-# inside is_free, the lift of h over its partials inside euler_field, the
-# factorization check, the idempotents, the comparison of fractional ideals,
-# condition (B), which also decides (F) on a curve germ without factors, and
-# the conductor
-WORK = ("log_derivations", "euler_division", "validate_factorization",
+# inside is_free, the syzygies of (dh, h) that is_free and euler_field read,
+# the factorization check, the idempotents, the comparison of fractional
+# ideals, condition (B), which also decides (F) on a curve germ without
+# factors, and the conductor
+WORK = ("log_derivations", "log_syzygies", "validate_factorization",
         "IdempotentData", "equals", "condition_B", "conductor")
 
 
@@ -497,15 +524,15 @@ def _count_work(monkeypatch):
 
     for target, attr, name in (
             (germs, "log_derivations", "log_derivations"),
-            (germs, "lift", "euler_division"),
+            (germs, "syzygies", "log_syzygies"),
             (residues, "validate_factorization", "validate_factorization"),
             (residues.IdempotentData, "__init__", "IdempotentData"),
             (FractionalIdeal, "equals", "equals"),
             (FractionalIdeal, "conductor", "conductor"),
             (criteria, "check_condition_B", "condition_B")):
         monkeypatch.setattr(target, attr, counted(name, getattr(target, attr)))
-    # as in a fresh process: the first R_D and the first Euler lift of the
-    # germ are computed and certified
+    # as in a fresh process: the first R_D and the first syzygies of (dh, h)
+    # of the germ are computed and certified
     monkeypatch.setattr(residues, "_RESIDUE_MODULE_CACHE", {})
     monkeypatch.setattr(germs, "_PARTIALS_CACHE", {})
     return calls
@@ -513,7 +540,7 @@ def _count_work(monkeypatch):
 
 @pytest.mark.parametrize("vars_,poly,factors,expected", [
     ("xy", "x^2 - y^3", None,
-     {"log_derivations": 1, "euler_division": 1, "condition_B": 1}),
+     {"log_derivations": 1, "log_syzygies": 1, "condition_B": 1}),
     ("xyz", "x*y*z", "x;y;z",
      {"validate_factorization": 1, "IdempotentData": 1, "equals": 2,
       "condition_B": 1}),
@@ -529,6 +556,15 @@ def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
     calls = _count_work(monkeypatch)
     analyze_text(list(vars_), poly, factors)
     assert {k: calls[k] for k in expected} == expected
+
+
+def test_repeat_analyze_reuses_the_syzygies_of_dh_and_h(monkeypatch):
+    calls = _count_work(monkeypatch)
+    analyze_text(["x", "y"], "x^2 - y^3")
+    assert calls["log_syzygies"] == 1
+    # a new germ object with the same h reads them from _PARTIALS_CACHE
+    analyze_text(["x", "y"], "x^2 - y^3")
+    assert calls["log_syzygies"] == 1 and calls["log_derivations"] == 2
 
 
 @pytest.mark.parametrize("vars_,poly,factors,match", [
@@ -589,23 +625,28 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # which changed only the conductor element in witnesses.condition_G.
 # x*y*z, analysed with its factors, pins the smooth-factor wording of (C);
 # it was taken from the code before (C) became one inclusion.
+# Five were retaken when the Euler field came from the syzygies of (dh, h)
+# and the conductor from one ideal quotient: witnesses.condition_G names
+# another conductor element on x*y*(x-y)*(x+y), x*y*z*(x+y+z) and
+# x*y*(x+y)*(x+y*z), and witnesses.euler names another Euler field on
+# x*y*(x+y+z), x*y*(x+y)*(x+y*z) and x*y*z; nothing else changed.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "ac6c3b42537326ace4c62a49d8de5eac8531c0f64f5946411deef005ce7b5329"),
     ("x^3+y^5",
      "f5f2a40b6508c429bf701230fceded49a50be75b9dbd23312f559a381a629afc"),
     ("x*y*(x-y)*(x+y)",
-     "a8efe7bc36fdb9c8fd8b394a5886b47865475b303afd124675da363ed80a47b3"),
+     "82b7591d5cf481a3b68d97a0e45f89698dc6f1d642e8217a82a54ccd4dc2e1dc"),
     ("x*y*z*(x+y+z)",
-     "a12d5f89fb871b0b9dfb8cb61511c754f078f0ae213f65c2435869db21833dba"),
+     "566bf00eaa61be4da0a0dcebf7d31fd631db6c2a3bbd09f5cdbd35968ed22345"),
     ("x^3+y^3+z^3",
      "986294721053a5b0e0b6016901a9115dbb81320fa07512062555119c8a3b1d69"),
     ("x*y*(x+y+z)",
-     "e838372e8d1dc37c6aa6c75751c4a1e9cd62af00f133d518f0ca222e4c14464c"),
+     "cfae3c7d5c390262cadb0ff17789387f0c0629ef13aafb81e0712b6e3e342912"),
     ("x*y*(x+y)*(x+y*z)",
-     "8ffe297e865829444b3b01e5d52dd8b80c5b12c5ce70e41a3f5750324dcaab6b"),
+     "cae62f64c287268950ffcecbd04867e2c5e689aa1361585baea040a24b12e79a"),
     ("x*y*z",
-     "0078937dee44a2c21f84dbb4077d5a87c730f7f675ae1841b6a636d7245f30b0"),
+     "23f502b2eaec64b67040c7988624cc1e9d0b20e9d89f8fc648f0bb6374893783"),
 ]
 # the factors a pinned germ is analysed with, where it has any
 GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z", "x*y*z": "x;y;z"}

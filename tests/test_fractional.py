@@ -304,6 +304,11 @@ def test_conductor():
     with pytest.raises(EngineError):
         # R_D = <1, y/x> is no ring: x*(y/x) = y misses its dual <x, y^2>
         J.dual().conductor()
+    # the maximal ideal of the cone over a cubic misses 1
+    E = DivisorGerm(["x", "y", "z"], "x^3 + y^3 + z^3")
+    m = FractionalIdeal(E, [E.poly(v) for v in E.names], 1)
+    with pytest.raises(InputError, match="does not contain O_D"):
+        m.conductor()
 
 
 def test_germ_mismatch():
@@ -351,6 +356,24 @@ def test_includes_product_agrees_with_product_ideal_on_corpus():
             weak = nd.weak_ring
             assert C.includes_product(C, weak) is C.includes(C.product(weak)) is True
     assert "node" in with_weak and "four-planes-family" in with_weak
+
+
+def test_conductor_is_the_dual_of_the_ring():
+    # the conductor, one ideal quotient mod h, against the fractional dual:
+    # every weakly holomorphic ring of the corpus and R_D where (C) holds
+    from logres.residues import residue_module
+    rings, sources = [], set()
+    for entry in CORPUS:
+        D = DivisorGerm(entry["vars"], entry["poly"])
+        nd = _corpus_weak_ring(D, entry)
+        if nd is not None:
+            rings.append(nd.weak_ring)
+            sources.add(nd.source)
+        if entry["expected"]["residues_weakly_holomorphic"] == "true":
+            rings.append(residue_module(D))
+    assert sources == {"branches", "smooth_factors"}
+    for A in rings:
+        assert FractionalIdeal(A.germ, A.conductor(), 1).equals(A.dual()), A
 
 
 def test_includes_product_rejects_non_ring():

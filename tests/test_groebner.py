@@ -677,45 +677,3 @@ def test_one_tail_pass_matches_fixpoint_reduction(monkeypatch):
         assert basis == expected
         # one division per element after the Buchberger loop, by the others
         assert calls == [len(basis) - 1] * len(basis)
-
-
-def _assert_lifts(f, gens, unit, coeffs):
-    assert unit.constant_term() != 0
-    assert unit * f == sum((a * g for a, g in zip(coeffs, gens)),
-                           Poly.zero(f.n))
-
-
-@pytest.mark.parametrize("name", ["ds", "degrevlex"])
-def test_lift_recombines_on_seeded_ideals(name):
-    rng = random.Random(2611)
-    for _ in range(12):
-        n = rng.choice((2, 3))
-        order = Order(name, n)
-        # through the origin, or most ideals are locally the unit ideal
-        gens = [g - Poly.const(n, g.constant_term()) for g in
-                (_random_poly(rng, n, 3, rng.randint(2, 3))
-                 for _ in range(rng.randint(2, 3)))]
-        gens = [g for g in gens if not g.is_zero] or [Poly.variable(n, 0)]
-        f = sum((_random_poly(rng, n, 2, 2) * g for g in gens), Poly.zero(n))
-        fs = [f, gens[-1], Poly.zero(n)]
-        for g, lifted in zip(fs, groebner.lift(fs, gens, order)):
-            _assert_lifts(g, gens, *lifted)
-        # the heads are a standard basis of the ideal of gens
-        mo = ModOrder(order)
-        heads, _ = groebner._embedded_basis([Vec([g]) for g in gens], order)
-        assert [mo.lead(h) for h, _ in heads] == \
-            [mo.lead(b) for b in standard_basis(gens, mo)]
-
-
-def test_lift_of_a_non_member_is_none():
-    for order in (LOCAL2, GLOBAL2):
-        assert groebner.lift([P("1")], [P("x"), P("y")], order) == [None]
-
-
-def test_lift_under_a_local_order_takes_a_unit():
-    # x = x*(1+y) / (1+y) lies in <x*(1+y)> only in the local ring
-    gens = [P("x*(1+y)")]
-    assert groebner.lift([P("x")], gens, GLOBAL2) == [None]
-    unit, coeffs = groebner.lift([P("x")], gens, LOCAL2)[0]
-    _assert_lifts(P("x"), gens, unit, coeffs)
-    assert not unit.is_constant()

@@ -136,6 +136,17 @@ def test_user_branches_win_and_are_certified():
         normalization_from_branches(D, branches=bad)
 
 
+def test_user_branch_off_the_origin_rejected():
+    # x = 1 + t, y = 0 annihilates x*y but passes through (1, 0), where x
+    # has valuation 0
+    D = DivisorGerm(["x", "y"], "x*y")
+    branches = [BranchParam({0: {1: 1}, 1: {}}, 64),
+                BranchParam({0: {}, 1: {1: 1}}, 64),
+                BranchParam({0: {0: 1, 1: 1}, 1: {}}, 64)]
+    with pytest.raises(InputError, match="does not pass through the origin"):
+        normalization_from_branches(D, branches=branches)
+
+
 def test_user_branch_truncation_guard():
     D = cusp()
     short = [BranchParam({0: {3: 1}, 1: {2: 1}}, 4)]

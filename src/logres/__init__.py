@@ -10,9 +10,9 @@ from .groebner import (Vec, ModOrder, standard_basis, normal_form,
                        radical_test, min_generators_local, local_colength,
                        local_dim)
 from .germs import (DivisorGerm, VectorField, SaitoMatrix, LogOneForm,
-                    EulerField, jacobian_ideal, log_derivations, is_free,
-                    euler_field, log_forms_basis)
-from .fractional import FractionalIdeal, is_nzd, nzd_witness
+                    EulerField, log_derivations, is_free, euler_field,
+                    log_forms_basis)
+from .fractional import FractionalIdeal, jacobian_module, is_nzd, nzd_witness
 from .residues import (MeroFraction, residue, residue_certificates,
                        residue_module, sigma_check, mu_residues,
                        gorenstein_singular_locus, direct_sum_check,

@@ -17,8 +17,8 @@ from itertools import combinations, combinations_with_replacement
 from .errors import ConsistencyError
 from .poly import poly_str, parse
 from .groebner import radical_test, local_dim, _row_echelon
-from .germs import DivisorGerm, jacobian_ideal, is_free, euler_field
-from .fractional import FractionalIdeal
+from .germs import DivisorGerm, is_free, euler_field
+from .fractional import FractionalIdeal, jacobian_module
 from .residues import (MeroFraction, residue_module, mu_residues,
                        gorenstein_singular_locus, direct_sum_check,
                        IdempotentData)
@@ -137,18 +137,18 @@ def _integrality_degree(D, p, q):
     return None
 
 
-def check_condition_G(D, cond):
-    """Jacobian ideal equals the conductor ideal, given the conductor's
-    generators as an ideal of O_D, or None when no conductor is known."""
-    if cond is None:
+def check_condition_G(D, C):
+    """Jacobian ideal equals the conductor ideal, given the conductor as a
+    fractional ideal, or None when no conductor is known."""
+    if C is None:
         return UNDECIDED, "no conductor available"
-    J = jacobian_ideal(D)
-    if D.ideal_equal_mod_h(J, cond):
-        return TRUE, "J_D = C_D as ideals mod h"
-    for g in cond:
-        if not D.member_mod_h(g, J):
+    J = jacobian_module(D)
+    for g in C.num:
+        if not J.contains_fraction(g, C.den):
             return FALSE, (f"conductor element {poly_str(g, D.names)} "
                            f"is not in the Jacobian ideal")
+    if C.includes(J):
+        return TRUE, "J_D = C_D as ideals mod h"
     # unreachable: J_D lies in C_D (J in J^vv = dual(R_D), which lies in C_D)
     raise ConsistencyError("the conductor lies in J_D without equalling it")
 
@@ -282,8 +282,9 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
     # normalization data: branches (curves/suspensions) and/or smooth factors
     nd = None
     nd_factors = None
+    curve = _curve_setup(D) is not None
     # supplied branches outside the curve class raise InputError here
-    if branches is not None or _curve_setup(D) is not None:
+    if branches is not None or curve:
         nd = normalization_from_branches(D, branches=branches)
         if nd is None:
             witnesses["normalization"] = ("rational Newton-Puiseux expansion "
@@ -321,7 +322,7 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
         f_verdict = _tri(nc)
     elif D.is_smooth:
         f_verdict, nc_why = TRUE, "smooth germ"
-    elif _curve_setup(D) is None:
+    elif not curve:
         f_verdict, nc_why = UNDECIDED, "no factorization supplied"
     else:
         # the singular locus of a curve or suspension is the origin of the
@@ -362,7 +363,7 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
             witnesses["suspension_euler"] = chi.str_of(D)
 
     # --- proven equivalences, re-verified on every run --------------------
-    J = FractionalIdeal(D, jacobian_ideal(D), 1)
+    J = jacobian_module(D)
     if free:
         if not R.dual().equals(J):
             raise ConsistencyError("free divisor with dual(R_D) != J_D")
@@ -443,10 +444,8 @@ def analyze(D, factors=None, branches=None, seed=0, want_timings=False):
 
 def _verify_chain(D, J, R, weak, cond):
     """J_D in dual(R_D) in C_D in O_D in O~ in R_D, every inclusion checked."""
-    Rdual = R.dual()
-    C = FractionalIdeal(D, cond, 1)
-    O = FractionalIdeal.ring(D)
-    chain = [("J_D", J), ("dual(R_D)", Rdual), ("C_D", C), ("O_D", O),
+    chain = [("J_D", J), ("dual(R_D)", R.dual()), ("C_D", cond),
+             ("O_D", FractionalIdeal.ring(D)),
              ("weak ring", weak), ("R_D", R)]
     for (name1, small), (name2, big) in zip(chain, chain[1:]):
         if not big.includes(small):

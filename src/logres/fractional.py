@@ -18,6 +18,7 @@ from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div, exp_deg
 from .groebner import (ideal_quotient, reduce_poly, standard_basis, ModOrder,
                        leads_dim)
+from .germs import once_per_germ
 
 NZD_TRIAL_BUDGET = 32
 
@@ -175,6 +176,7 @@ class FractionalIdeal:
         return FractionalIdeal(D, [p * exact_div(den, q) for p, q in pairs], den)
 
     @staticmethod
+    @once_per_germ
     def ring(D):
         """O_D itself."""
         one = Poly.const(D.n, 1)
@@ -235,19 +237,23 @@ class FractionalIdeal:
 
     def conductor(self):
         """For a fractional ideal A containing O_D (the weakly holomorphic
-        ring, or R_D when it equals that ring): polynomial generators of the
-        conductor dual(A) = {f : f*A in O_D} as an ideal of O_D.  As 1 is in
-        A, the dual lies in O_D, so it is the ideal quotient (<den, h> : num)
-        mod h; it is certified to be an ideal of A."""
+        ring, or R_D when it equals that ring): the conductor
+        dual(A) = {f : f*A in O_D}.  As 1 is in A, the dual lies in O_D, so
+        it is the ideal quotient (<den, h> : num) mod h over the denominator
+        1; it is certified to be an ideal of A."""
         D = self.germ
-        one = Poly.const(D.n, 1)
-        if not self.contains_fraction(one, one):
+        if not self.includes(FractionalIdeal.ring(D)):
             raise InputError("the fractional ideal does not contain O_D")
         # den mod h generates the same <den, h> with smaller coefficients
         den = reduce_poly(self.den, [D.h], D.global_order)
-        gens = list(D.mod_h_basis(
-            ideal_quotient([den, D.h], self.num, D.global_order)))
-        cond = FractionalIdeal(D, gens, 1)
+        cond = FractionalIdeal(
+            D, ideal_quotient([den, D.h], self.num, D.global_order), 1)
         if not cond.includes_product(cond, self):
             raise EngineError("conductor is not an ideal of the ring")
-        return gens
+        return cond
+
+
+@once_per_germ
+def jacobian_module(D):
+    """J_D, the ideal of O_D generated by the partials of h."""
+    return FractionalIdeal(D, D.partials, 1)

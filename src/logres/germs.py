@@ -17,9 +17,8 @@ from functools import cached_property, wraps
 
 from .errors import InputError, EngineError, ParseError
 from .poly import Poly, Order, parse, poly_str, exact_div
-from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, ideal_equal,
-                       syzygies, division_certificate, min_generators_local,
-                       local_dim)
+from .groebner import (Vec, ModOrder, std_ideal, ideal_contains, syzygies,
+                       division_certificate, min_generators_local, local_dim)
 
 
 class DivisorGerm:
@@ -31,7 +30,7 @@ class DivisorGerm:
     criterion: h has a repeated factor through the origin iff h and its
     partials vanish on a whole component of {h = 0} there, iff
     <h, dh> has local dimension n-1 rather than at most n-2.  It reads the
-    cached local standard basis that jacobian_gens shares."""
+    cached local standard basis that fractional.jacobian_module shares."""
 
     def __init__(self, names, h):
         self.names = tuple(names)
@@ -75,14 +74,6 @@ class DivisorGerm:
     def is_smooth(self):
         return any(p.constant_term() != 0 for p in self.partials)
 
-    @cached_property
-    def active_vars(self):
-        return sorted(self.h.vars_used())
-
-    @cached_property
-    def passive_vars(self):
-        return [i for i in range(self.n) if i not in self.h.vars_used()]
-
     # -- mod-h ideal arithmetic in the local ring -------------------------
 
     def mod_h_basis(self, gens):
@@ -93,10 +84,6 @@ class DivisorGerm:
         """f in <gens, h> in the localization at the origin."""
         return ideal_contains(f, tuple(gens) + (self.h,), self.local_order)
 
-    def ideal_equal_mod_h(self, gens1, gens2):
-        return ideal_equal(tuple(gens1) + (self.h,),
-                           tuple(gens2) + (self.h,), self.local_order)
-
     def in_h(self, f):
         """f in <h> locally."""
         return ideal_contains(f, (self.h,), self.local_order)
@@ -104,16 +91,10 @@ class DivisorGerm:
     # -- Jacobian data -----------------------------------------------------
 
     @cached_property
-    def jacobian_gens(self):
-        """Generators of J_D inside O_D: the canonical local standard basis of
-        the partials taken mod h."""
-        return self.mod_h_basis(self.partials)
-
-    @cached_property
     def jacobian_pullback(self):
         """Generators of the preimage of J_D in the ambient ring: the partials
-        of h, then h, the key order of jacobian_gens, so the two share one
-        cached local standard basis."""
+        of h, then h, the key order of mod_h_basis(partials), so J_D and this
+        ideal share one cached local standard basis."""
         return self.partials + (self.h,)
 
 
@@ -129,11 +110,6 @@ def once_per_germ(fn):
             D.facts[name] = fact.__wrapped__(D)
         return D.facts[name]
     return fact
-
-
-def jacobian_ideal(D):
-    """J_D as an ideal of O_D (generators reduced mod h, unit-normalized)."""
-    return list(D.jacobian_gens)
 
 
 class VectorField:

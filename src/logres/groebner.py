@@ -532,11 +532,6 @@ def ideal_contains(f, gens, order):
                    False)[2].is_zero
 
 
-def ideal_equal(gens1, gens2, order):
-    return (all(ideal_contains(g, gens1, order) for g in gens2)
-            and all(ideal_contains(g, gens2, order) for g in gens1))
-
-
 # ---------------------------------------------------------------------------
 # syzygies and derived operations
 

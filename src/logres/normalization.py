@@ -425,13 +425,13 @@ def _splice(c, s, phi, prec):
 def _curve_setup(D):
     """(curve variable indices, 2-variable model of h).  Suspensions are
     detected through variables absent from h."""
-    active = D.active_vars
+    active = sorted(D.h.vars_used())
     if len(active) > 2:
         return None
     if len(active) == 2:
-        cvars = list(active)
+        cvars = active
     else:
-        passive = D.passive_vars
+        passive = [i for i in range(D.n) if i not in active]
         if not passive:
             return None
         cvars = [active[0], passive[0]]
@@ -473,12 +473,7 @@ def puiseux_rational(D, precision):
                             {cvars[0]: {Q: 1}, cvars[1]: yser}, precision))
     except Unsupported:
         return None
-    canon = []
-    for b in branches:
-        b = b.canonical()
-        if not any(b.same_branch(c) for c in canon):
-            canon.append(b)
-    return canon
+    return [b.canonical() for b in branches]
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +508,10 @@ def _certify_branch(D, branch):
         raise InputError("branch parametrization is not primitive")
 
 
-def conductor_bound(D):
-    """Upper bound for the conductor exponents: 2*delta = Milnor number of
-    the curve factor + number of branches - 1; the branch count is bounded by
-    the multiplicity."""
-    setup = _curve_setup(D)
-    if setup is None:
-        raise InputError("not a curve germ or suspension")
-    _, h2 = setup
+def conductor_bound(h2):
+    """Upper bound for the conductor exponents of the curve with the
+    2-variable model h2: 2*delta = Milnor number + number of branches - 1;
+    the branch count is bounded by the multiplicity."""
     mu = local_colength([h2.diff(0), h2.diff(1)], 2)
     if mu is None:
         raise EngineError("curve factor has non-isolated singularity")
@@ -543,7 +534,7 @@ def normalization_from_branches(D, branches=None):
         raise InputError("germ outside the supported class "
                          "(plane curve or suspension of one)")
     cvars, h2 = setup
-    cb = conductor_bound(D)
+    cb = conductor_bound(h2)
 
     def required_precision(vals):
         B = -(-cb // min(vals))
@@ -570,6 +561,11 @@ def normalization_from_branches(D, branches=None):
         if not branches:
             raise InputError("supplied branches must be a non-empty list")
         for b in branches:
+            outside = sorted(set(b.series) - set(cvars))
+            if outside:
+                raise InputError(f"branch has a series for "
+                                 f"{D.names[outside[0]]}, which is not a "
+                                 f"curve variable")
             _certify_branch(D, b)
         ell_full, ell_vals = _denominator_form(D, cvars, branches)
         need = required_precision(ell_vals)
@@ -642,8 +638,7 @@ def _denominator_form(D, cvars, branches):
 
 
 def _certify_weak_ring(D, weak):
-    one = Poly.const(D.n, 1)
-    if not weak.contains_fraction(one, one):
+    if not weak.includes(FractionalIdeal.ring(D)):
         raise EngineError("weakly holomorphic module does not contain 1")
     for i, p in enumerate(weak.num):
         for q in weak.num[i:]:
@@ -657,8 +652,7 @@ def normalization_from_smooth_factors(idem):
     of the component rings, generated by the idempotents."""
     if not idem.smooth:
         raise InputError("components are not all smooth at the origin")
-    weak = idem.module()
-    return NormalizationData([], weak, "smooth_factors")
+    return NormalizationData([], idem.module, "smooth_factors")
 
 
 def is_weakly_holomorphic(frac, nd):
@@ -728,9 +722,12 @@ def _series_from_json(pairs, where):
             e, c = pair
             if type(e) is not int or e < 0 or type(c) not in (int, str):
                 raise ValueError
-            series[e] = Fraction(c)
+            c = Fraction(c)
         except (TypeError, ValueError, ZeroDivisionError):
             raise InputError(f"{where}: {pair!r} is not an [exponent, "
                              f"coefficient] pair of an integer >= 0 and a "
                              f"rational") from None
+        if e in series:
+            raise InputError(f"{where}: exponent {e} is repeated")
+        series[e] = c
     return series

@@ -20,9 +20,9 @@ from .errors import InputError, EngineError
 from .poly import Poly, poly_str, exact_div
 from .groebner import (Vec, ModOrder, division_certificate,
                        min_generators_local, reduce_poly)
-from .germs import (jacobian_ideal, is_free, log_forms_basis, LogOneForm,
-                    form_is_logarithmic, once_per_germ)
-from .fractional import (FractionalIdeal, is_nzd, require_nzd,
+from .germs import (is_free, log_forms_basis, LogOneForm, form_is_logarithmic,
+                    once_per_germ)
+from .fractional import (FractionalIdeal, jacobian_module, is_nzd, require_nzd,
                          nzd_combinations)
 
 
@@ -133,7 +133,7 @@ def residue_module(D):
     R = _RESIDUE_MODULE_CACHE.get(key)
     if R is not None:
         return R
-    R = FractionalIdeal(D, jacobian_ideal(D), 1).dual()
+    R = jacobian_module(D).dual()
     free, M = is_free(D)
     if free:
         fracs = [residue(w, D) for w in log_forms_basis(M)]
@@ -165,7 +165,7 @@ def mu_residues(D):
     can be part of a minimal generating set (1 not in m*R_D)."""
     R = residue_module(D)
     mu, _ = min_generators_local([Vec([p]) for p in R.num], extra=[Vec([D.h])])
-    if not R.contains_fraction(Poly.const(D.n, 1), Poly.const(D.n, 1)):
+    if not R.includes(FractionalIdeal.ring(D)):
         raise EngineError("R_D does not contain 1")
     # 1 in m*R_D  iff  den in m*num + <h> locally
     m_num = [Poly.variable(D.n, i) * p for i in range(D.n) for p in R.num]
@@ -213,9 +213,10 @@ class IdempotentData:
     """A validated factorization of h with its componentwise-unit fractions
     e_i = (h/f_i) / g, g = sum h/f_j, so sum e_i = 1, and certified relations
     e_i^2 = e_i mod h.  smooth records whether every factor passes through
-    the origin and is smooth there."""
+    the origin and is smooth there.  module is the fractional ideal the
+    idempotents generate: the direct sum of the component rings."""
 
-    __slots__ = ("germ", "factors", "smooth", "parts", "g")
+    __slots__ = ("germ", "factors", "smooth", "parts", "g", "module")
 
     def __init__(self, D, factors):
         self.factors = tuple(factors)
@@ -233,14 +234,10 @@ class IdempotentData:
             # e^2 - e = p*(p - g)/g^2; the numerator must be divisible by h
             if exact_div(p * (p - self.g), D.h) is None:
                 raise EngineError("idempotent relation e^2 = e failed")
-
-    def module(self):
-        """The fractional ideal generated by the idempotents: the direct sum
-        of the component rings."""
-        return FractionalIdeal(self.germ, list(self.parts), self.g)
+        self.module = FractionalIdeal(D, self.parts, self.g)
 
 
 def direct_sum_check(D, idem):
     """Whether R_D equals the direct sum of the component rings O_{D_i},
     realized by the idempotent fractions of a validated factorization."""
-    return idem.module().equals(residue_module(D))
+    return idem.module.equals(residue_module(D))

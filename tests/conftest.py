@@ -5,6 +5,8 @@ import signal
 
 import pytest
 
+from logres.groebner import ideal_contains
+
 
 @contextlib.contextmanager
 def deadline(seconds):
@@ -23,3 +25,10 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def ideal_equal(gens1, gens2, order):
+    """Whether gens1 and gens2 generate the same ideal under order: each
+    generator of one lies in the other."""
+    return (all(ideal_contains(g, gens1, order) for g in gens2)
+            and all(ideal_contains(g, gens2, order) for g in gens1))

@@ -136,10 +136,13 @@ def _cusp_branch(**changes):
     return json.dumps([entry])
 
 
-CUSP = "x^2 - y^3"
+# (variables, polynomial) of the germs the branch files are read against
+CUSP = ("x,y", "x^2 - y^3")
+SUSPENDED_CUSP = ("x,y,z", "x^2 - y^3")
+LINES = ("x,y", "x*y")
 
 
-@pytest.mark.parametrize("text,message,poly", [
+@pytest.mark.parametrize("text,message,germ", [
     pytest.param(b"\xff[", "utf-8", CUSP, id="not-utf-8"),
     pytest.param("{not json", "not JSON", CUSP, id="not-json"),
     pytest.param("[1]", "branch entry 0", CUSP, id="entry-not-object"),
@@ -166,18 +169,33 @@ CUSP = "x^2 - y^3"
     # annihilates it; either is rejected before its valuations are read
     pytest.param(json.dumps([{"param": {"x": [[1, "1"]], "y": []}},
                              {"param": {"x": [[0, "1"]], "y": [[1, "1"]]}}]),
-                 "does not pass through the origin", "x*y", id="off-origin"),
+                 "does not pass through the origin", LINES, id="off-origin"),
     pytest.param(json.dumps([{"param": {"x": [[1, "1"]], "y": []}},
                              {"param": {"x": [], "y": [[1, "1"]]}},
                              {"param": {"x": [[0, "1"], [1, "1"]], "y": []}}]),
-                 "does not pass through the origin", "x*y",
+                 "does not pass through the origin", LINES,
                  id="off-origin-annihilating"),
+    # the later of two pairs with one exponent would silently win
+    pytest.param(_cusp_branch(param={"x": [[3, "1"], [3, "0"]],
+                                     "y": [[2, "1"]]}),
+                 "exponent 3 is repeated", SUSPENDED_CUSP,
+                 id="repeated-exponent"),
+    # z is no curve variable of the suspension: no pullback reads its series
+    pytest.param(_cusp_branch(param={"x": [[3, "1"]], "y": [[2, "1"]],
+                                     "z": [[1, "1"]]}),
+                 "series for z, which is not a curve variable",
+                 SUSPENDED_CUSP, id="passive-series"),
+    pytest.param(_cusp_branch(param={"x": [[3, "1"]], "y": [[2, "1"]],
+                                     "z": [[2, "1"], [3, "1"]]}),
+                 "series for z, which is not a curve variable",
+                 SUSPENDED_CUSP, id="passive-series-primitive"),
 ])
 def test_analyze_malformed_branches_file_exit_2(tmp_path, capsys, text,
-                                                message, poly):
+                                                message, germ):
     path = tmp_path / "branches.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    code = main(["analyze", "--vars", "x,y", "--poly", poly,
+    vars_, poly = germ
+    code = main(["analyze", "--vars", vars_, "--poly", poly,
                  "--branches", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err

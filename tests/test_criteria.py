@@ -3,6 +3,8 @@
 import hashlib
 import inspect
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -65,7 +67,7 @@ def test_condition_G_conductor_strictly_inside_jacobian_is_inconsistent():
     # conductor strictly inside J_D falsifies the implementation
     D = DivisorGerm(["x", "y"], "x^2 - y^3")
     with pytest.raises(ConsistencyError, match="conductor"):
-        check_condition_G(D, [D.poly("x^2")])
+        check_condition_G(D, FractionalIdeal(D, [D.poly("x^2")], 1))
 
 
 def test_condition_D_examples():
@@ -508,19 +510,29 @@ def test_analyze_rejects_empty_branch_list():
 # inside is_free, the syzygies of (dh, h) that is_free and euler_field read,
 # the factorization check, the idempotents, the comparison of fractional
 # ideals, condition (B), which also decides (F) on a curve germ without
-# factors, and the conductor
+# factors, and the conductor; "built" counts the fractional ideals each
+# function constructs, by its qualified name
 WORK = ("log_derivations", "log_syzygies", "validate_factorization",
         "IdempotentData", "equals", "condition_B", "conductor")
 
 
 def _count_work(monkeypatch):
     calls = dict.fromkeys(WORK, 0)
+    calls["built"] = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kw):
             calls[name] += 1
             return fn(*args, **kw)
         return wrapper
+
+    init = FractionalIdeal.__init__
+
+    def built(self, *args):
+        calls["built"][sys._getframe(1).f_code.co_qualname] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FractionalIdeal, "__init__", built)
 
     for target, attr, name in (
             (germs, "log_derivations", "log_derivations"),
@@ -556,6 +568,22 @@ def test_analyze_computes_each_fact_once(monkeypatch, vars_, poly, factors,
     calls = _count_work(monkeypatch)
     analyze_text(list(vars_), poly, factors)
     assert {k: calls[k] for k in expected} == expected
+
+
+# the function that builds each module of the chain J_D in C_D in O_D, and of
+# the idempotent module
+CHAIN_BUILDERS = ("jacobian_module", "FractionalIdeal.conductor",
+                  "FractionalIdeal.ring", "IdempotentData.__init__")
+
+
+def test_analyze_builds_each_fractional_ideal_once(monkeypatch):
+    # both normalizations, the direct-sum check and the chain all run here
+    calls = _count_work(monkeypatch)
+    analyze_text(["x", "y"], "x*y*(x+y)", "x;y;x+y")
+    built = calls["built"]
+    assert {k: built[k] for k in CHAIN_BUILDERS} == dict.fromkeys(
+        CHAIN_BUILDERS, 1)
+    assert sum(built.values()) <= 8
 
 
 def test_repeat_analyze_reuses_the_syzygies_of_dh_and_h(monkeypatch):
@@ -630,6 +658,9 @@ def test_analyze_computes_freeness_and_mu_once(monkeypatch):
 # another conductor element on x*y*(x-y)*(x+y), x*y*z*(x+y+z) and
 # x*y*(x+y)*(x+y*z), and witnesses.euler names another Euler field on
 # x*y*(x+y+z), x*y*(x+y)*(x+y*z) and x*y*z; nothing else changed.
+# x*y*(x+y), analysed with its factors, pins the path where both
+# normalizations and the direct-sum check run; it was taken from the code
+# before each module of the fractional-ideal chain was built once per germ.
 GOLDEN_REPORTS = [
     ("x^5-y^7",
      "ac6c3b42537326ace4c62a49d8de5eac8531c0f64f5946411deef005ce7b5329"),
@@ -647,9 +678,12 @@ GOLDEN_REPORTS = [
      "cae62f64c287268950ffcecbd04867e2c5e689aa1361585baea040a24b12e79a"),
     ("x*y*z",
      "23f502b2eaec64b67040c7988624cc1e9d0b20e9d89f8fc648f0bb6374893783"),
+    ("x*y*(x+y)",
+     "f183882b22c74575dc4b1a04bbffb664dbedfcc65937317a4008a22240271fa3"),
 ]
 # the factors a pinned germ is analysed with, where it has any
-GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z", "x*y*z": "x;y;z"}
+GOLDEN_FACTORS = {"x*y*(x+y)*(x+y*z)": "x;y;x+y;x+y*z", "x*y*z": "x;y;z",
+                  "x*y*(x+y)": "x;y;x+y"}
 
 
 # the test ids name the germ alone, so a retaken digest keeps its test's id

@@ -8,9 +8,9 @@ import pytest
 
 from logres.errors import ParseError, InputError
 from logres.poly import Poly, Order, parse, poly_str, poly_gcd, exact_div
-from logres.groebner import ideal_quotient, ideal_equal
+from logres.groebner import ideal_quotient
 from logres.germs import DivisorGerm
-from conftest import deadline
+from conftest import deadline, ideal_equal
 
 
 V2 = ["x", "y"]
